@@ -204,9 +204,9 @@ int main(int Argc, char **Argv) {
 
   bench::BenchReport Report("ingest_throughput", "private-dictionary-stress");
   unsigned HostCpus = std::thread::hardware_concurrency();
-  // Mirrors parallel_scaling's flag: with a single hardware thread the
-  // producers and the collector cannot actually overlap, so aggregate
-  // events/sec measures context-switch overhead, not pipelining.
+  // With a single hardware thread the producers and the collector cannot
+  // actually overlap, so aggregate events/sec measures context-switch
+  // overhead, not pipelining.
   Report.setFlag("live_overlap_observable", HostCpus > 1);
   if (HostCpus <= 1)
     std::cout << "warning: single-CPU host; producers, collector, and "

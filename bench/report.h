@@ -75,8 +75,10 @@ inline std::string gitRevision() {
 
 /// One measured configuration.
 struct BenchEntry {
-  std::string Name;      ///< e.g. "parallel/shards=4".
-  unsigned Shards = 0;   ///< 0 for sequential configurations.
+  std::string Name;      ///< e.g. "binary/decode".
+  /// Concurrency width of the configuration (producers, daemon workers);
+  /// 0 for single-threaded configurations. Emitted as "shards".
+  unsigned Shards = 0;
   size_t Events = 0;     ///< Trace events processed per run.
   double Seconds = 0.0;  ///< Median wall time over the repetitions.
   double EventsPerSec = 0.0;
@@ -156,7 +158,7 @@ public:
   void add(BenchEntry Entry) { Entries.push_back(std::move(Entry)); }
 
   /// Attaches an extra top-level boolean field (e.g.
-  /// "parallel_overlap_observable") emitted between the provenance fields
+  /// "live_overlap_observable") emitted between the provenance fields
   /// and the benchmarks array. Last write wins for a repeated name.
   void setFlag(std::string Name, bool Value) {
     for (auto &F : Flags)
@@ -168,7 +170,7 @@ public:
   }
 
   /// Renders e.g.:
-  /// {"tool":"parallel_scaling","workload":"h2-complex",
+  /// {"tool":"wire_throughput","workload":"h2-complex-concurrency",
   ///  "host_cpus":4,"git_rev":"abc123","benchmarks":[...]}
   ///
   /// host_cpus and git_rev record where the numbers came from:

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Builds the Release preset, runs the detector benchmarks and writes the
-# machine-readable BENCH_detector.json and BENCH_wire.json trajectory
-# artifacts at the repo root.
+# Builds the Release preset, runs the trajectory benchmarks and writes the
+# machine-readable BENCH_*.json artifacts at the repo root.
 #
 # Usage: scripts/bench.sh [workers] [queries-per-worker] [reps]
 set -euo pipefail
@@ -13,9 +12,6 @@ REPS="${3:-5}"
 
 cmake --preset release
 cmake --build --preset release -j"$(nproc)"
-
-./build-release/bench/parallel_scaling "$WORKERS" "$QUERIES" "$REPS" \
-  BENCH_detector.json
 
 # Ingestion throughput: text parse vs binary wire decode vs decode+detect.
 # Exits non-zero if binary decode drops below 2x text parse.
@@ -36,8 +32,8 @@ cmake --build --preset release -j"$(nproc)"
 # sessions x shared-worker-pool sweep.
 ./build-release/bench/serve_throughput 8 100000 "$REPS" BENCH_serve.json
 
-# Informational microbenchmarks (epoch ablation + shard sweep); failures
-# here must not mask the trajectory artifact above.
+# Informational detector microbenchmarks; failures here must not mask the
+# trajectory artifacts above.
 ./build-release/bench/micro_detector --benchmark_min_time=0.05 || true
 
-echo "bench artifacts: $(pwd)/BENCH_detector.json $(pwd)/BENCH_wire.json $(pwd)/BENCH_memo.json $(pwd)/BENCH_ingest.json $(pwd)/BENCH_serve.json"
+echo "bench artifacts: $(pwd)/BENCH_wire.json $(pwd)/BENCH_memo.json $(pwd)/BENCH_ingest.json $(pwd)/BENCH_serve.json"

@@ -7,21 +7,18 @@ than the threshold (default 15%), or when a configuration disappeared,
 or when the race counts (the correctness anchor) diverge. Intended for
 CI and for PR authors:
 
-    scripts/bench_compare.py old/BENCH_detector.json BENCH_detector.json
+    scripts/bench_compare.py old/BENCH_wire.json BENCH_wire.json
 
 Benchmarks only present in the new file are reported as additions and
 never fail the comparison.
 
 Artifacts record provenance (host_cpus, git_rev — bench/report.h). When
-both files carry host_cpus and the values differ, the comparison is
-refused with exit code 77 (the ctest SKIP convention): throughput ratios
-across host classes are noise, not signal. Pass --allow-host-mismatch to
-compare anyway (e.g. for manual inspection).
-
-On hosts with >= 4 CPUs the new artifact must additionally clear the
-scaling bar: parallel/shards=4 at >= 1.3x seq/epoch. The bar is skipped
-on smaller hosts, where shard workers timeshare with the pre-pass and no
-overlap is observable.
+both files carry host_cpus and the values differ, throughput and
+allocation ratios across host classes are noise, not signal: only the
+host-independent race counts are compared, and when no configuration
+carries them in both files nothing is comparable and the script exits
+77 (the ctest SKIP convention). Pass --allow-host-mismatch to compare
+everything anyway (e.g. for manual inspection).
 """
 
 import argparse
@@ -80,8 +77,8 @@ def main():
     ap.add_argument(
         "--allow-host-mismatch",
         action="store_true",
-        help="compare artifacts from different host classes anyway "
-        "(the diff is noise; default is to refuse with exit 77)",
+        help="compare throughput and allocations across host classes too "
+        "(the diff is noise; by default only race counts are compared)",
     )
     args = ap.parse_args()
 
@@ -95,20 +92,28 @@ def main():
         )
 
     # Host-class gate: a 1-CPU run and a 16-CPU run of the same benchmark
-    # are different experiments, and diffing them reports phantom
-    # regressions (or hides real ones). Refuse unless explicitly overridden.
+    # are different experiments, and diffing their timings reports phantom
+    # regressions (or hides real ones). Race counts do not depend on the
+    # host, so they are still compared unless explicitly overridden.
     old_cpus = old_doc.get("host_cpus")
     new_cpus = new_doc.get("host_cpus")
+    races_only = False
     if old_cpus is not None and new_cpus is not None and old_cpus != new_cpus:
         msg = (
             f"host class mismatch: {args.old} recorded host_cpus={old_cpus}, "
             f"{args.new} recorded host_cpus={new_cpus}"
         )
-        if not args.allow_host_mismatch:
-            print(f"refusing to compare: {msg}", file=sys.stderr)
-            print("(pass --allow-host-mismatch to compare anyway)", file=sys.stderr)
-            return 77
-        print(f"warning: {msg}; comparing anyway", file=sys.stderr)
+        if args.allow_host_mismatch:
+            print(f"warning: {msg}; comparing anyway", file=sys.stderr)
+        else:
+            races_only = True
+            print(f"{msg}; comparing race counts only", file=sys.stderr)
+            print("(pass --allow-host-mismatch to compare throughput too)",
+                  file=sys.stderr)
+            if not any("races" in b and "races" in new.get(n, {})
+                       for n, b in old.items()):
+                print("nothing comparable across host classes", file=sys.stderr)
+                return 77
 
     failures = []
     width = max((len(n) for n in old), default=10)
@@ -117,14 +122,20 @@ def main():
         if nb is None:
             failures.append(f"{name}: missing from {args.new}")
             continue
+        race_drift = "races" in ob and "races" in nb and ob["races"] != nb["races"]
+        if race_drift:
+            failures.append(
+                f"{name}: race count changed {ob['races']} -> {nb['races']}"
+            )
+        if races_only:
+            line = f"{name:<{width}}  races {ob.get('races')} -> {nb.get('races')}"
+            print(line + ("  RACE COUNT MISMATCH" if race_drift else ""))
+            continue
         old_eps = float(ob.get("events_per_sec", 0))
         new_eps = float(nb.get("events_per_sec", 0))
         ratio = new_eps / old_eps if old_eps > 0 else float("inf")
         line = f"{name:<{width}}  {old_eps:>12,.0f} -> {new_eps:>12,.0f}  {ratio:6.2f}x"
-        if "races" in ob and "races" in nb and ob["races"] != nb["races"]:
-            failures.append(
-                f"{name}: race count changed {ob['races']} -> {nb['races']}"
-            )
+        if race_drift:
             line += "  RACE COUNT MISMATCH"
         elif old_eps > 0 and ratio < 1.0 - args.threshold:
             failures.append(
@@ -159,24 +170,6 @@ def main():
     for name in sorted(set(new) - set(old)):
         print(f"{name:<{width}}  (new configuration)")
 
-    # Absolute scaling bar, judged on the new artifact alone: with >= 4
-    # CPUs available the 4-shard pipeline must beat the sequential epoch
-    # detector by 1.3x. Gated on the recorded host_cpus, not the current
-    # machine — the artifact says what host produced the numbers.
-    seq = new.get("seq/epoch")
-    par4 = new.get("parallel/shards=4")
-    if isinstance(new_cpus, int) and new_cpus >= 4 and seq and par4:
-        seq_eps = float(seq.get("events_per_sec", 0))
-        par_eps = float(par4.get("events_per_sec", 0))
-        speedup = par_eps / seq_eps if seq_eps > 0 else float("inf")
-        print(f"\nscaling bar (host_cpus={new_cpus}): "
-              f"parallel/shards=4 at {speedup:.2f}x seq/epoch (need >= 1.30x)")
-        if speedup < 1.3:
-            failures.append(
-                f"parallel/shards=4: only {speedup:.2f}x seq/epoch on a "
-                f"{new_cpus}-cpu host (>= 1.3x required)"
-            )
-
     # Memo-mode anchor, judged on the new artifact alone: chunk
     # memoization is an optimization, never an approximation, so every
     # analyze/memo=* configuration in BENCH_memo.json must report the
@@ -197,7 +190,10 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("\nno regressions beyond threshold")
+    if races_only:
+        print("\nrace counts unchanged (throughput not compared)")
+    else:
+        print("\nno regressions beyond threshold")
     return 0
 
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Reduced-rep benchmark smoke pass for CI (the `bench-smoke` ctest label).
 #
-# Runs the two trajectory benchmarks at a small fixed workload, then diffs
-# the emitted JSON against the committed bench/baseline/BENCH_*.json with
+# Runs the trajectory benchmarks at a small fixed workload, then diffs the
+# emitted JSON against the committed bench/baseline/BENCH_*.json with
 # scripts/bench_compare.py: any >15% throughput drop below the (already
 # noise-derated) baseline, any race-count drift, or any allocs-per-event
-# growth fails the test. Exit 77 (ctest SKIP_RETURN_CODE) when python3 is
-# unavailable.
+# growth fails the test. A baseline from another host class is diffed on
+# its race counts only. Exit 77 (ctest SKIP_RETURN_CODE) when python3 is
+# unavailable or when no baseline could be compared at all, so a run that
+# checked nothing reports Skipped instead of Passed.
 #
 # Usage: bench_smoke.sh <build-dir> [repo-root]
 set -u
@@ -29,6 +31,7 @@ OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
 
 status=0
+compared=0
 run_and_compare() {
   local tool="$1" json="$2" arg1="${3:-$WORKERS}" arg2="${4:-$QUERIES}"
   echo "== $tool ($arg1, $arg2, $REPS reps) =="
@@ -42,17 +45,18 @@ run_and_compare() {
       "$REPO_ROOT/bench/baseline/$json" "$OUT_DIR/$json"
   local rc=$?
   if [ "$rc" -eq 77 ]; then
-    # bench_compare refuses cross-host-class diffs (the committed baseline
-    # was recorded on a different machine class); that is a skip, not a
-    # regression.
-    echo "bench_smoke: $tool: baseline from a different host class; skipping diff" >&2
-  elif [ "$rc" -ne 0 ]; then
+    # bench_compare found nothing it may compare against this baseline;
+    # that is a skip, not a regression.
+    echo "bench_smoke: $tool: nothing comparable in the baseline; skipping diff" >&2
+    return
+  fi
+  compared=$((compared + 1))
+  if [ "$rc" -ne 0 ]; then
     status=1
   fi
 }
 
 run_and_compare wire_throughput BENCH_wire.json
-run_and_compare parallel_scaling BENCH_detector.json
 # Chunk memoization uses the repetitive-trace workload (bodies,
 # repetitions); the tool itself enforces the 2x / 1.2x memo bars and
 # race equality across modes, the diff guards against drift.
@@ -64,4 +68,8 @@ run_and_compare ingest_throughput BENCH_ingest.json 4 50000
 # a fresh server per rep, so per-session volume carries the signal.
 run_and_compare serve_throughput BENCH_serve.json 8 25000
 
+if [ "$status" -eq 0 ] && [ "$compared" -eq 0 ]; then
+  echo "bench_smoke: no baseline was compared; reporting skip" >&2
+  exit 77
+fi
 exit "$status"

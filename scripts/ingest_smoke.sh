@@ -13,10 +13,10 @@
 # The throughput acceptance bar (>= 8 producers sustaining >= 10M
 # aggregate events/s into live detection) only means something when the
 # producers, the collector, and the detector can actually run in
-# parallel; like the parallel-scaling gate in bench_compare.py it is
-# enforced only on hosts with >= 8 CPUs. On a single-CPU host the whole
-# test is a skip (exit 77, the ctest SKIP_RETURN_CODE convention): every
-# thread timeshares one core and the numbers measure scheduling overhead.
+# parallel, so it is enforced only on hosts with >= 8 CPUs. On a
+# single-CPU host the whole test is a skip (exit 77, the ctest
+# SKIP_RETURN_CODE convention): every thread timeshares one core and the
+# numbers measure scheduling overhead.
 #
 # Usage: ingest_smoke.sh <build-dir>
 set -u

@@ -61,8 +61,8 @@ public:
 
 private:
   /// Backing storage for the default className() (lazily materialized;
-  /// the mutex makes concurrent shard workers safe — the fallback is
-  /// debug-only and cold).
+  /// the mutex makes concurrent serve sessions sharing one provider safe —
+  /// the fallback is debug-only and cold).
   mutable std::deque<std::string> FallbackNames;
   mutable std::mutex FallbackNamesMutex;
 };

@@ -15,8 +15,7 @@
 ///            activating them on first touch.
 ///
 /// All of this state is partitioned by object — phase 1 and phase 2 for an
-/// event on object o read and write only active(o) — which is exactly what
-/// lets ParallelDetector run one engine per object shard with no locking.
+/// event on object o read and write only active(o).
 ///
 /// Hot-path layout: every table on the per-event path is a FlatMap (open
 /// addressing, contiguous storage) instead of node-based unordered_map, and
@@ -25,10 +24,9 @@
 /// costs zero table probes for object + binding resolution (a one-entry
 /// cache) and one flat probe per conflict class.
 ///
-/// The engine is parameterized over the accumulated-clock representation:
-/// EpochClock (the default; O(1) probes and joins while a point's history
-/// is HB-totally-ordered) or FullClockRep (the seed's always-full
-/// VectorClock, kept for ablation benchmarks).
+/// Accumulated clocks are EpochClocks: O(1) probes and joins while a
+/// point's history is HB-totally-ordered, escalating to a full vector
+/// clock only when it is not.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,23 +50,10 @@
 
 namespace crd {
 
-/// Always-full accumulated clock: the representation the seed detector
-/// used for every active point. Ablation baseline for EpochClock.
-struct FullClockRep {
-  VectorClock Clock;
-
-  bool leq(const VectorClock &C) const { return Clock.leq(C); }
-  /// Returns true when the representation changed (see EpochClock).
-  bool accumulate(const VectorClock &C, ThreadId) {
-    return Clock.joinWith(C);
-  }
-  VectorClock toClock() const { return Clock; }
-};
-
 /// Counters an Algorithm 1 engine accumulates while processing (zeros in a
 /// CRD_METRICS=OFF build, except ConflictChecks which the §5.4 experiments
-/// consume unconditionally). One instance per engine — per shard for the
-/// parallel detector. Schema: docs/observability.md.
+/// consume unconditionally). One instance per engine. Schema:
+/// docs/observability.md.
 struct Algorithm1Stats {
   uint64_t Actions = 0;          ///< onAction invocations.
   uint64_t ConflictChecks = 0;   ///< Phase-1 conflict-partner probes.
@@ -85,15 +70,15 @@ struct Algorithm1Stats {
 };
 
 /// Phases 1–2 of Algorithm 1 over per-object active-point tables.
-template <typename ClockRep> class BasicAlgorithm1Engine {
+class Algorithm1Engine {
   /// Per-object detector state: the active-point table plus the provider
-  /// resolved once at creation (re-resolved on bind()/adoptBindings()), so
-  /// onAction never consults the bindings table. Heap-allocated so the
+  /// resolved once at creation (re-resolved on bind()/setDefaultProvider()),
+  /// so onAction never consults the bindings table. Heap-allocated so the
   /// one-entry LastState cache survives Objects rehashes. (Declared before
   /// the public section: onRun()/onActionResolved() below take it by
   /// reference.)
   struct ObjectState {
-    FlatMap<AccessPoint, ClockRep> Active;
+    FlatMap<AccessPoint, EpochClock> Active;
     const AccessPointProvider *Provider = nullptr;
     /// Mutation stamp of the last change to this object's state. Global
     /// (engine-wide) stamps make versions unambiguous across objectDied()
@@ -102,7 +87,7 @@ template <typename ClockRep> class BasicAlgorithm1Engine {
   };
 
 public:
-  BasicAlgorithm1Engine() = default;
+  Algorithm1Engine() = default;
 
   /// Binds the representation used for actions on \p Obj. Bindings live in
   /// their own map so they survive objectDied() reclamation.
@@ -118,15 +103,6 @@ public:
   void setDefaultProvider(const AccessPointProvider *Provider) {
     ++ConfigStamp;
     DefaultProvider = Provider;
-    refreshProviders();
-  }
-
-  /// Copies another engine's bindings (used to replicate the configuration
-  /// into per-shard engines).
-  void adoptBindings(const BasicAlgorithm1Engine &Other) {
-    ++ConfigStamp;
-    Bindings = Other.Bindings;
-    DefaultProvider = Other.DefaultProvider;
     refreshProviders();
   }
 
@@ -156,28 +132,25 @@ public:
   ///
   /// \p Pos holds \p NPos ascending positions of invoke events in \p Evs;
   /// \p Evs[Pos[i]] must be an invoke. Positions are reported to race
-  /// records as \p BaseIndex + Pos[i]. \p Filter selects the actions this
-  /// engine owns (shard routing; return true for all on the sequential
-  /// path) — filtered-out actions cost one call, no state. \p Resolve maps
-  /// a ThreadId to that thread's run clock (stable reference for the whole
-  /// run). Returns the number of actions executed.
+  /// records as \p BaseIndex + Pos[i]. \p Resolve maps a ThreadId to that
+  /// thread's run clock (stable reference for the whole run).
   ///
-  /// Determinism: admitted actions execute in the same order with the same
-  /// clocks as the per-event path; the lookahead stage only creates empty
+  /// Determinism: actions execute in the same order with the same clocks
+  /// as the per-event path; the lookahead stage only creates empty
   /// ObjectStates earlier than stateFor would have (idempotent — stamp
   /// *values* may differ from the per-event path, but stamps never appear
   /// in race reports and are self-consistent within one execution), so
   /// race reports are bit-identical.
-  template <typename ResolveF, typename FilterF>
-  size_t onRun(const Event *Evs, const uint32_t *Pos, size_t NPos,
-               size_t BaseIndex, ResolveF &&Resolve, FilterF &&Filter) {
+  template <typename ResolveF>
+  void onRun(const Event *Evs, const uint32_t *Pos, size_t NPos,
+             size_t BaseIndex, ResolveF &&Resolve) {
     struct Staged {
       const Event *E;
       ObjectState *State;
       uint32_t Position;
     };
     Staged Ring[LookaheadDepth];
-    size_t Head = 0, InFlight = 0, Next = 0, Executed = 0;
+    size_t Head = 0, InFlight = 0, Next = 0;
     // Run-local last-object cache: hoisted out of stateFor so the common
     // same-object run never reloads the member cache across the opaque
     // provider/clock calls in the execute stage.
@@ -189,8 +162,6 @@ public:
         uint32_t P = Pos[Next++];
         const Event &E = Evs[P];
         const Action &A = E.action();
-        if (!Filter(A))
-          continue;
         ObjectState *S;
         if (CachedState && CachedObj == A.object()) {
           CacheHits.inc();
@@ -213,8 +184,8 @@ public:
 
     // Consecutive-same-thread clock memo. Safe to reuse only with no
     // intervening Resolve call: a resolver may grow its backing storage
-    // (e.g. the shard-synthesized clock table) and invalidate earlier
-    // references, and any intervening call here overwrites the memo.
+    // and invalidate earlier references, and any intervening call here
+    // overwrites the memo.
     const VectorClock *CachedClock = nullptr;
     ThreadId CachedThread;
 
@@ -231,11 +202,9 @@ public:
       }
       onActionResolved(St.E->action(), T, *CachedClock,
                        BaseIndex + St.Position, *St.State);
-      ++Executed;
       stage();
     }
-    KernelEventsCtr.add(Executed);
-    return Executed;
+    KernelEventsCtr.add(NPos);
   }
 
   /// onAction() with the per-object state already resolved — the execute
@@ -261,7 +230,7 @@ public:
                               : AccessPoint::plain(Partner);
         assert((Provider->classCarriesValue(Partner) == Pt.HasValue) &&
                "conflicts must not cross value-carrying and plain classes");
-        const ClockRep *Prior = State.Active.find(Key);
+        const EpochClock *Prior = State.Active.find(Key);
         if (!Prior)
           continue;
         if (!Prior->leq(Clock)) {
@@ -306,13 +275,7 @@ public:
   }
 
   const std::vector<CommutativityRace> &races() const { return Races; }
-  std::vector<CommutativityRace> takeRaces() {
-    return std::exchange(Races, {});
-  }
 
-  const std::unordered_set<ObjectId> &racyObjects() const {
-    return RacyObjects;
-  }
   size_t distinctRacyObjects() const { return RacyObjects.size(); }
   size_t conflictChecks() const { return ConflictChecks; }
 
@@ -334,7 +297,7 @@ public:
   /// summary reproduces those itself.
   uint64_t mutationStamp() const { return MutStamp; }
 
-  /// Bumped by bind()/setDefaultProvider()/adoptBindings(): summaries
+  /// Bumped by bind()/setDefaultProvider(): summaries
   /// depend on the provider configuration (touches/conflicts/className)
   /// and must be invalidated when it changes.
   uint64_t configStamp() const { return ConfigStamp; }
@@ -441,9 +404,6 @@ private:
   metrics::Counter Prefetches;
   metrics::LinearHistogram<LookaheadDepth + 1> LookaheadOcc;
 };
-
-/// The production engine: epoch-compressed accumulated clocks.
-using Algorithm1Engine = BasicAlgorithm1Engine<EpochClock>;
 
 } // namespace crd
 

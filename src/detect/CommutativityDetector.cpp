@@ -6,6 +6,8 @@
 
 #include "detect/CommutativityDetector.h"
 
+#include "support/KindScan.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -33,12 +35,11 @@ void CommutativityRaceDetector::processKinded(const Event *Evs,
   auto Resolve = [this](ThreadId T) -> const VectorClock & {
     return VCState.clockOf(T);
   };
-  auto All = [](const Action &) { return true; };
   auto FlushRun = [&] {
     if (InvokeScratch.empty())
       return;
     Engine.onRun(Evs, InvokeScratch.data(), InvokeScratch.size(), EventIndex,
-                 Resolve, All);
+                 Resolve);
     InvokeScratch.clear();
   };
   for (uint32_t P : ScanScratch) {
@@ -58,8 +59,7 @@ void CommutativityRaceDetector::processKinded(const Event *Evs,
 
 void CommutativityRaceDetector::processTrace(const Trace &T) {
   // Windowed kernel feed: the trace stores events (not kind bytes), so
-  // each window gathers its kinds into reusable scratch first — the same
-  // shape the parallel detector's whole-trace path uses.
+  // each window gathers its kinds into reusable scratch first.
   constexpr size_t Window = 4096;
   const std::vector<Event> &Events = T.events();
   for (size_t Begin = 0; Begin < Events.size(); Begin += Window) {

@@ -57,8 +57,8 @@ public:
   void processTrace(const Trace &T);
 
   /// Feeds a whole batch through the batched kernel (the streaming
-  /// pipeline's pull loop). Only \p B's Events and Kinds are consulted;
-  /// the sync index need not be populated. \p B is left untouched.
+  /// pipeline's pull loop). Only \p B's Events and Kinds are consulted.
+  /// \p B is left untouched.
   void processBatch(const EventBatch &B);
 
   /// Nanoseconds spent inside the batched kernel (processTrace /

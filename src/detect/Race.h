@@ -35,8 +35,8 @@ struct CommutativityRace {
   VectorClock PriorClock;  ///< Accumulated clock of the conflicting point.
   VectorClock CurrentClock;
 
-  /// Field-for-field equality; used by the sequential/parallel detector
-  /// equivalence suite (races must be bit-identical, not just same-count).
+  /// Field-for-field equality; used by the detector equivalence suites
+  /// (races must be bit-identical, not just same-count).
   friend bool operator==(const CommutativityRace &A,
                          const CommutativityRace &B) {
     return A.EventIndex == B.EventIndex && A.Thread == B.Thread &&

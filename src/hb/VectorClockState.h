@@ -37,8 +37,8 @@ namespace crd {
 ///
 /// The lock map L is split into a small inline array for the first few
 /// locks and a FlatMap overflow: most traces guard their objects with a
-/// handful of locks, so the acquire/release hot path of the sequential
-/// pre-pass is a short linear scan over inline entries instead of a hash
+/// handful of locks, so the acquire/release hot path of the clock
+/// machine is a short linear scan over inline entries instead of a hash
 /// probe, and the swiss-table overflow only engages past InlineLockSlots
 /// distinct locks.
 class VectorClockState {
@@ -53,27 +53,6 @@ public:
   /// Returns T(τ), the clock an action of \p Thread would be stamped with.
   /// Initializes the thread lazily to inc_τ(⊥) on first use.
   const VectorClock &clockOf(ThreadId Thread);
-
-  /// Copies T(τ) into \p Out, reusing Out's existing storage. The
-  /// allocation-free way to snapshot a clock into pooled storage (the
-  /// shard batch forwarding path): unlike `Out = clockOf(T)` through a
-  /// freshly constructed clock, a pooled Out already holds capacity from
-  /// earlier batches and the copy touches no allocator.
-  void copyClockInto(ThreadId Thread, VectorClock &Out) {
-    Out = clockOf(Thread);
-  }
-
-  /// Returns T(τ) if \p Thread has already been initialized (by a
-  /// synchronization event or an earlier clockOf), nullptr otherwise —
-  /// without forcing the lazy initialization. The run-based pre-pass
-  /// builds its per-run clock maps through this so publishing a snapshot
-  /// table never initializes threads the trace hasn't touched; consumers
-  /// synthesize inc_τ(⊥) themselves for nullptr entries, which is
-  /// value-identical to what lazy initialization would produce.
-  const VectorClock *initializedClock(ThreadId Thread) const {
-    size_t I = Thread.index();
-    return I < Threads.size() && Initialized[I] ? &Threads[I] : nullptr;
-  }
 
   /// Returns L(l); ⊥ if the lock was never released.
   const VectorClock &lockClock(LockId Lock) const;

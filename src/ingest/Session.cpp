@@ -68,7 +68,6 @@ size_t Session::producerCount() const {
 }
 
 void Session::flushBatch() {
-  Batch.finalizeSyncIndex();
   Pipeline->processBatch(Batch);
   ++Batches;
 }

@@ -24,18 +24,6 @@ std::string_view nextToken(std::string_view &Rest) {
   return Tok;
 }
 
-bool parseUnsigned(std::string_view V, uint64_t &Out) {
-  if (V.empty() || V.size() > 12)
-    return false;
-  Out = 0;
-  for (char C : V) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 } // namespace
 
 uint64_t serve::monotonicNs() {
@@ -49,14 +37,20 @@ const char *serve::backendToken(wire::Backend B) {
   switch (B) {
   case wire::Backend::Sequential:
     return "seq";
-  case wire::Backend::Parallel:
-    return "parallel";
   case wire::Backend::FastTrack:
     return "fasttrack";
   case wire::Backend::Atomicity:
     return "atomicity";
   }
   return "seq";
+}
+
+std::optional<wire::Backend> serve::parseBackendToken(std::string_view Token) {
+  for (wire::Backend B : {wire::Backend::Sequential, wire::Backend::FastTrack,
+                          wire::Backend::Atomicity})
+    if (Token == backendToken(B))
+      return B;
+  return std::nullopt;
 }
 
 const char *serve::memoToken(wire::MemoMode M) {
@@ -92,32 +86,12 @@ bool serve::parseHandshake(std::string_view Line, Handshake &H,
     std::string_view Val =
         Eq == std::string_view::npos ? std::string_view() : Tok.substr(Eq + 1);
     if (Key == "detector") {
-      if (Val == "seq")
-        H.TheBackend = wire::Backend::Sequential;
-      else if (Val == "parallel")
-        H.TheBackend = wire::Backend::Parallel;
-      else if (Val == "fasttrack")
-        H.TheBackend = wire::Backend::FastTrack;
-      else if (Val == "atomicity")
-        H.TheBackend = wire::Backend::Atomicity;
-      else {
+      std::optional<wire::Backend> B = parseBackendToken(Val);
+      if (!B) {
         Error = "unknown detector '" + std::string(Val) + "'";
         return false;
       }
-    } else if (Key == "shards") {
-      uint64_t N = 0;
-      if (!parseUnsigned(Val, N) || N > 1024) {
-        Error = "shards expects an integer";
-        return false;
-      }
-      H.Shards = static_cast<unsigned>(N);
-    } else if (Key == "batch") {
-      uint64_t N = 0;
-      if (!parseUnsigned(Val, N) || N == 0 || N > (1u << 24)) {
-        Error = "batch expects a positive integer";
-        return false;
-      }
-      H.BatchSize = static_cast<size_t>(N);
+      H.TheBackend = *B;
     } else if (Key == "memo") {
       if (Val == "off")
         H.Memo = wire::MemoMode::Off;
@@ -145,12 +119,6 @@ std::string serve::renderHandshake(const Handshake &H) {
   }
   Line += " detector=";
   Line += backendToken(H.TheBackend);
-  if (H.Shards) {
-    Line += " shards=";
-    Line += std::to_string(H.Shards);
-  }
-  Line += " batch=";
-  Line += std::to_string(H.BatchSize);
   Line += " memo=";
   Line += memoToken(H.Memo);
   return Line;

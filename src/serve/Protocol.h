@@ -36,6 +36,7 @@
 #include "wire/StreamPipeline.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -67,12 +68,10 @@ struct Handshake {
   /// the aggregate + per-session metrics document and closes.
   bool Status = false;
   wire::Backend TheBackend = wire::Backend::Sequential;
-  unsigned Shards = 0;     ///< parallel backend worker shards (0 = cores).
-  size_t BatchSize = 4096; ///< parallel backend batch granularity.
   wire::MemoMode Memo = wire::MemoMode::Off;
 };
 
-/// Parses `crd-serve/1 [status] [detector=...] [shards=N] [batch=N]
+/// Parses `crd-serve/1 [status] [detector=seq|fasttrack|atomicity]
 /// [memo=off|decode|full]` (tokens space-separated, any order after the
 /// tag, \p Line without the trailing newline). Returns false with a
 /// one-line reason in \p Error on any unknown token or value — a strict
@@ -92,6 +91,9 @@ void appendJsonEscaped(std::string &Out, std::string_view S);
 /// Canonical spellings shared with the `crd` CLI surface.
 const char *backendToken(wire::Backend B);
 const char *memoToken(wire::MemoMode M);
+
+/// Inverse of backendToken(): the backend spelled \p Token, if any.
+std::optional<wire::Backend> parseBackendToken(std::string_view Token);
 
 /// Monotonic nanoseconds for idle-timeout sweeps and timeline spans.
 /// Deliberately not metrics::nowNs(): that compiles to a constant 0 in

@@ -16,6 +16,9 @@
 #include <sstream>
 
 #include <fcntl.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -37,6 +40,15 @@ void closeIfOpen(int &Fd) {
     ::close(Fd);
     Fd = -1;
   }
+}
+
+/// Hands the heap pages freed sessions left behind back to the OS. glibc
+/// keeps freed blocks mapped for reuse, so without this an idle daemon
+/// stays at the resident size of its busiest moment.
+void releaseFreedHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 } // namespace
@@ -301,8 +313,13 @@ void Server::closeConn(size_t Index) {
     Totals.DroppedChunksTotal += S.DroppedChunks;
     Live.erase(C.Sess->id());
   }
-  closeIfOpen(C.Fd);
+  int Fd = C.Fd;
   Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(Index));
+  // Trim before the last client sees EOF, so whoever waited for the
+  // daemon to go idle observes its idle footprint.
+  if (Conns.empty())
+    releaseFreedHeap();
+  closeIfOpen(Fd);
 }
 
 void Server::beginDrain() {

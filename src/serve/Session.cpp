@@ -216,8 +216,6 @@ void Session::runWork() {
     S.Races = Sum.Races + Sum.MemoryRaces + Sum.Violations;
     if (const CommutativityRaceDetector *Seq = Pipeline->sequentialDetector())
       S.ActivePoints = Seq->activePointCount();
-    if (const ParallelDetector *Par = Pipeline->parallelDetector())
-      S.ActivePoints = Par->activePointCount();
   }
   S.FootprintBytes = footprintBytes();
   S.DroppedChunks = DroppedChunks;
@@ -296,8 +294,6 @@ bool Session::handleHandshake() {
   }
   wire::PipelineOptions Opts;
   Opts.TheBackend = Config.TheBackend;
-  Opts.Shards = Config.Shards;
-  Opts.BatchSize = Config.BatchSize;
   Opts.Memo = Config.Memo;
   Pipeline = std::make_unique<wire::StreamPipeline>(Opts);
   if (Config.TheBackend != wire::Backend::FastTrack && Provider)

@@ -14,7 +14,7 @@
 ///
 /// Lifetime rule: everything allocated since the last reset() dies
 /// together at the next reset(). Holders that must outlive the reset
-/// (shard batches in flight, materialized races) deep-copy out first —
+/// (event batches, materialized races) deep-copy out first —
 /// Action's copy constructor does exactly that.
 ///
 //===----------------------------------------------------------------------===//

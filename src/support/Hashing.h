@@ -32,9 +32,9 @@ template <typename... Ts> size_t hashAll(const Ts &...Values) {
 }
 
 /// Finalizing 64-bit mixer (splitmix64). Id-like keys hash to their raw
-/// index, which clusters catastrophically in power-of-two tables and under
-/// modulo sharding; running the value through this fixed-point-free
-/// permutation spreads every input bit across the whole output word.
+/// index, which clusters catastrophically in power-of-two tables; running
+/// the value through this fixed-point-free permutation spreads every input
+/// bit across the whole output word.
 inline uint64_t hashMix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;

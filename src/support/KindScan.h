@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Vectorized scan for "interesting" kind bytes in a contiguous array —
-/// the sync-event index of the run-based shard pipeline. The parallel
-/// detector's pre-pass only needs to know *where* the synchronization
-/// events sit inside a batch; everything between two of them is a run the
-/// clock machine can skip wholesale. The trace layer encodes kinds so the
-/// sync kinds (fork/join/acquire/release) are exactly the bytes below a
-/// small threshold, which turns the scan into one signed byte-compare.
+/// Vectorized scan for "interesting" kind bytes in a contiguous array.
+/// The batched detection kernel only needs to know *where* the
+/// synchronization events and invokes sit inside a batch; everything
+/// between two sync events is a run over which every thread's clock is
+/// constant. The trace layer encodes kinds so the sync kinds
+/// (fork/join/acquire/release) are exactly the bytes below a small
+/// threshold, and invokes the next byte up, which turns the scan into one
+/// byte-compare.
 ///
 /// Mirrors the FlatMap swiss-table pattern: an SSE2 group-of-16 path
 /// (compare + movemask, one load per 16 kinds) selected at compile time,

@@ -14,12 +14,12 @@
 /// reads and no extra stores.
 ///
 /// Concurrency model: every counter and histogram has exactly ONE writer
-/// (the sequential detector thread, a specific shard worker, the pre-pass
-/// thread). Readers only look after the owning pipeline has quiesced
-/// (flush/processTrace returned), so plain non-atomic fields suffice —
-/// what the layer guarantees instead is *placement*: `Counter` is padded
-/// to a cache line so per-shard counters laid out in arrays never share a
-/// line across writer threads (MetricsTest hammers this).
+/// (the detector thread, a specific producer or collector thread).
+/// Readers only look after the owning pipeline has quiesced, so plain
+/// non-atomic fields suffice — what the layer guarantees instead is
+/// *placement*: `Counter` is padded to a cache line so per-thread
+/// counters laid out in arrays never share a line across writer threads
+/// (MetricsTest hammers this).
 ///
 /// Snapshots are emitted as JSON through `JsonWriter` (always compiled —
 /// an off build still emits a snapshot, with `"metrics_enabled": false`
@@ -81,8 +81,7 @@ private:
 
 /// Fixed-bucket histogram with identity bucketing: value v lands in bucket
 /// min(v, N-1) — the last bucket absorbs the tail. Used for small discrete
-/// domains (ring occupancy, batch-fill deciles). Single writer; merge()
-/// combines per-thread instances after quiescence.
+/// domains (lookahead occupancy). Single writer.
 template <size_t N> class LinearHistogram {
   static_assert(N >= 2, "a histogram needs at least two buckets");
 
@@ -100,15 +99,6 @@ public:
   uint64_t count() const { return Total; }
   uint64_t sum() const { return Sum; }
   uint64_t max() const { return Peak; }
-
-  void merge(const LinearHistogram &O) {
-    for (size_t I = 0; I != N; ++I)
-      Buckets[I] += O.Buckets[I];
-    Total += O.Total;
-    Sum += O.Sum;
-    if (O.Peak > Peak)
-      Peak = O.Peak;
-  }
 
   std::array<uint64_t, N> counts() const { return Buckets; }
 
@@ -150,15 +140,6 @@ public:
   uint64_t sum() const { return Sum; }
   uint64_t max() const { return Peak; }
 
-  void merge(const Pow2Histogram &O) {
-    for (size_t I = 0; I != N; ++I)
-      Buckets[I] += O.Buckets[I];
-    Total += O.Total;
-    Sum += O.Sum;
-    if (O.Peak > Peak)
-      Peak = O.Peak;
-  }
-
   std::array<uint64_t, N> counts() const { return Buckets; }
 
 private:
@@ -189,7 +170,6 @@ public:
   uint64_t count() const { return 0; }
   uint64_t sum() const { return 0; }
   uint64_t max() const { return 0; }
-  void merge(const LinearHistogram &) {}
   std::array<uint64_t, N> counts() const { return {}; }
 };
 
@@ -202,7 +182,6 @@ public:
   uint64_t count() const { return 0; }
   uint64_t sum() const { return 0; }
   uint64_t max() const { return 0; }
-  void merge(const Pow2Histogram &) {}
   std::array<uint64_t, N> counts() const { return {}; }
 };
 

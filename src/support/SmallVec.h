@@ -9,8 +9,8 @@
 /// trivially copyable element types so every operation is memcpy/assign.
 /// Backs VectorClock components and other hot-path arrays where the
 /// common case fits inline: a clock copy (race materialization, Table 1
-/// lock snapshots, shard batch forwarding) then touches no allocator at
-/// all, and the heap path only engages past N elements.
+/// lock snapshots) then touches no allocator at all, and the heap path
+/// only engages past N elements.
 ///
 /// Deliberately minimal — only the operations the clock code needs —
 /// and unlike std::vector, resize() shrinks without releasing capacity,

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded single-producer/single-consumer ring buffer carrying batches
-/// from the sequential clock pre-pass to the shard workers. Blocking on
+/// A bounded single-producer/single-consumer ring buffer carrying events
+/// from a live producer thread to the ingestion collector. Blocking on
 /// both ends (C++20 atomic wait/notify — futex-backed, no spinning), with
 /// a close() that wakes a waiting consumer exactly once the queue drains.
 ///

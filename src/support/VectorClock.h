@@ -202,8 +202,8 @@ private:
   void normalize();
 
   /// Most traces sync across a handful of threads, so 8 inline components
-  /// keep clock copies (race snapshots, Table 1 lock clocks, shard batch
-  /// forwarding) off the allocator entirely.
+  /// keep clock copies (race snapshots, Table 1 lock clocks) off the
+  /// allocator entirely.
   SmallVec<uint32_t, 8> Components;
 };
 

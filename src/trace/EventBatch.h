@@ -5,23 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A batch of decoded events plus the sidecar data the run-based shard
-/// pipeline wants alongside them: a contiguous kind-byte array (one byte
-/// per event, SIMD-scannable) and the sync-event index — the positions of
-/// fork/join/acquire/release events inside the batch, in order. Runs of
-/// events between consecutive sync positions share one clock, which is
-/// what lets the parallel detector's pre-pass visit O(#sync) events
-/// instead of O(#events).
+/// A batch of decoded events plus a contiguous kind-byte array (one byte
+/// per event, SIMD-scannable) alongside them: the batched detection kernel
+/// scans the kinds once to find the sync events that delimit runs and the
+/// invokes it executes, without loading the (much wider) events.
 ///
 /// A batch owns its payloads: invoke values are pinned into the batch's
 /// own arena on append (inline for small actions, arena-spilled for wide
 /// ones — never a per-action heap block), so a filled batch is
 /// self-contained and outlives whatever decoder storage the events came
-/// from. Batches are movable with stable interior pointers (the vectors'
-/// heap buffers and the arena's chunks survive the move), which is how
-/// the pipeline hands whole batches to shard workers without copying.
-/// clear() keeps every buffer and arena chunk, so recycled batches fill
-/// allocation-free in the steady state.
+/// from. clear() keeps every buffer and arena chunk, so recycled batches
+/// fill allocation-free in the steady state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +23,8 @@
 #define CRD_TRACE_EVENTBATCH_H
 
 #include "support/Arena.h"
-#include "support/KindScan.h"
 #include "trace/Event.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -54,17 +46,12 @@ static_assert(static_cast<uint8_t>(EventKind::Fork) < SyncKindBound &&
                   static_cast<uint8_t>(EventKind::TxEnd) >= SyncKindBound,
               "sync kinds must be exactly the kind bytes below SyncKindBound");
 
-/// A self-contained, recyclable batch of events with a kind array and a
-/// sync-event index.
+/// A self-contained, recyclable batch of events with a kind array.
 struct EventBatch {
   std::vector<Event> Events;
   /// Events[i]'s kind as a raw byte — the contiguous array the SIMD scan
   /// walks (Event itself is too wide to scan directly).
   std::vector<uint8_t> Kinds;
-  /// Positions i (ascending) with Kinds[i] < SyncKindBound. Filled either
-  /// during decode (WireReader::nextBatch, kinds in hand anyway) or by
-  /// finalizeSyncIndex() after bulk appends.
-  std::vector<uint32_t> SyncPos;
   /// Pinned invoke payloads for actions wider than the inline capacity.
   Arena Values;
 
@@ -73,7 +60,6 @@ struct EventBatch {
 
   /// Appends a copy of \p E, pinning its action payload into this batch
   /// (so the source — e.g. a wire decoder's per-chunk arena — may reset).
-  /// Does not maintain SyncPos; call finalizeSyncIndex() once filled.
   void append(const Event &E) {
     Kinds.push_back(static_cast<uint8_t>(E.kind()));
     if (E.kind() == EventKind::Invoke)
@@ -84,18 +70,15 @@ struct EventBatch {
 
   /// Appends \p E whose payload is already pinned in this batch's arena
   /// (the wire decoder's batch path decodes values straight into Values).
-  /// The move keeps arena views intact. Does not maintain SyncPos.
+  /// The move keeps arena views intact.
   void appendPinned(Event &&E) {
     Kinds.push_back(static_cast<uint8_t>(E.kind()));
     Events.push_back(std::move(E));
   }
 
   /// Bulk-appends events [From, From+N) of \p Src, pinning invoke payloads
-  /// into this batch's arena and extending Kinds. Unlike append(), this
-  /// DOES maintain SyncPos: the relevant slice of Src's (sorted) sync
-  /// index is rebased instead of rescanning the kinds — the memoized wire
-  /// reader serves cached chunks through here, where a rescan would eat
-  /// into the decode-skipping win.
+  /// into this batch's arena and copying the kind bytes wholesale (the
+  /// memoized wire reader serves cached chunks through here).
   void appendRange(const EventBatch &Src, size_t From, size_t N) {
     size_t Base = Events.size();
     Kinds.insert(Kinds.end(), Src.Kinds.begin() + From,
@@ -109,19 +92,6 @@ struct EventBatch {
       else
         Events.push_back(E);
     }
-    auto First = std::lower_bound(Src.SyncPos.begin(), Src.SyncPos.end(),
-                                  static_cast<uint32_t>(From));
-    auto Last = std::lower_bound(First, Src.SyncPos.end(),
-                                 static_cast<uint32_t>(From + N));
-    for (auto It = First; It != Last; ++It)
-      SyncPos.push_back(static_cast<uint32_t>(*It - From + Base));
-  }
-
-  /// Rebuilds the sync-event index from the kind array with the SIMD scan.
-  void finalizeSyncIndex() {
-    SyncPos.clear();
-    appendKindPositions(Kinds.data(), Kinds.size(), SyncKindBound,
-                        /*Base=*/0, SyncPos);
   }
 
   /// Resident footprint of this batch: vector capacities plus retained
@@ -130,7 +100,7 @@ struct EventBatch {
   /// ceiling without re-measuring per fill.
   size_t memoryFootprint() const {
     return Events.capacity() * sizeof(Event) + Kinds.capacity() +
-           SyncPos.capacity() * sizeof(uint32_t) + Values.bytesReserved();
+           Values.bytesReserved();
   }
 
   /// Drops the events but keeps vector capacity and arena chunks, so the
@@ -138,7 +108,6 @@ struct EventBatch {
   void clear() {
     Events.clear();
     Kinds.clear();
-    SyncPos.clear();
     Values.reset();
   }
 };

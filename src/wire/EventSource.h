@@ -48,11 +48,9 @@ public:
   /// Batch pull: appends up to \p MaxEvents events to \p B and returns how
   /// many were appended (0 at end of stream / on error). The batch owns
   /// every payload (B pins invoke values into its own arena) and carries
-  /// the kind array + sync-event index the run-based parallel pipeline
-  /// consumes. The default pulls next() one event at a time and builds the
-  /// sync index with the SIMD kind-scan; the binary source overrides this
-  /// with the decoder's chunk-at-a-time path, which emits the index during
-  /// decode.
+  /// the kind array the batched detection kernel scans. The default pulls
+  /// next() one event at a time; the binary source overrides this with the
+  /// decoder's chunk-at-a-time path.
   virtual size_t nextBatch(EventBatch &B, size_t MaxEvents) {
     Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
     size_t N = 0;
@@ -60,7 +58,6 @@ public:
       B.append(E);
       ++N;
     }
-    B.finalizeSyncIndex();
     return N;
   }
 

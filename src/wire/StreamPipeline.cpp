@@ -16,12 +16,13 @@ using namespace crd::wire;
 
 namespace {
 
+/// Events per batch pulled from the source into the detection kernel.
+constexpr size_t PullBatchSize = 4096;
+
 const char *backendName(Backend B) {
   switch (B) {
   case Backend::Sequential:
     return "sequential";
-  case Backend::Parallel:
-    return "parallel";
   case Backend::FastTrack:
     return "fasttrack";
   case Backend::Atomicity:
@@ -58,14 +59,9 @@ void writeEngineStats(metrics::JsonWriter &W, const Algorithm1Stats &S) {
 } // namespace
 
 StreamPipeline::StreamPipeline(PipelineOptions Opts) : Opts(Opts) {
-  this->Opts.BatchSize = std::max<size_t>(1, Opts.BatchSize);
   switch (Opts.TheBackend) {
   case Backend::Sequential:
     Seq = std::make_unique<CommutativityRaceDetector>();
-    break;
-  case Backend::Parallel:
-    Par = std::make_unique<ParallelDetector>(Opts.Shards, this->Opts.BatchSize,
-                                             Opts.TraceBatches);
     break;
   case Backend::FastTrack:
     FT = std::make_unique<FastTrackDetector>();
@@ -79,8 +75,6 @@ StreamPipeline::StreamPipeline(PipelineOptions Opts) : Opts(Opts) {
 void StreamPipeline::setDefaultProvider(const AccessPointProvider *Provider) {
   if (Seq)
     Seq->setDefaultProvider(Provider);
-  if (Par)
-    Par->setDefaultProvider(Provider);
   if (Atom)
     Atom->setDefaultProvider(Provider);
 }
@@ -88,8 +82,6 @@ void StreamPipeline::setDefaultProvider(const AccessPointProvider *Provider) {
 void StreamPipeline::bind(ObjectId Obj, const AccessPointProvider *Provider) {
   if (Seq)
     Seq->bind(Obj, Provider);
-  if (Par)
-    Par->bind(Obj, Provider);
   if (Atom)
     Atom->bind(Obj, Provider);
 }
@@ -133,13 +125,6 @@ void StreamPipeline::onEvent(const Event &E) {
     drainNewRaces();
     return;
   }
-  if (Par) {
-    // Streamed straight into the pipeline — the detector batches
-    // internally and copies the action payload, so no Trace is ever
-    // materialized here. Results surface at finish().
-    Par->processEvent(E);
-    return;
-  }
   if (FT) {
     FT->process(E);
     drainNewRaces();
@@ -173,10 +158,6 @@ void StreamPipeline::processBatch(EventBatch &B) {
   Events += B.size();
   if (metrics::Enabled)
     tallyBatchKinds(B);
-  if (Par) {
-    Par->processBatch(B);
-    return;
-  }
   if (Seq) {
     // Whole batch through the sequential detector's batched kernel; races
     // surface (and hit the callback) after the batch.
@@ -193,11 +174,7 @@ void StreamPipeline::processBatch(EventBatch &B) {
   B.clear();
 }
 
-void StreamPipeline::finish() {
-  if (Par)
-    Par->flush();
-  drainNewRaces();
-}
+void StreamPipeline::finish() { drainNewRaces(); }
 
 bool StreamPipeline::pumpChunk(WireReader &Reader) {
   // Chunk-at-a-time: the reader stages each chunk (from its decode cache
@@ -249,7 +226,8 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
       ChunkSummary &S = MemoTable.insert(View->Digest);
       if (Seq->finishMemoRecord(Token, B, 0, N, S))
         ++MemoStats.SummaryRecords;
-      else if (B.SyncPos.empty())
+      else if (std::none_of(B.Kinds.begin(), B.Kinds.end(),
+                            [](uint8_t K) { return K < SyncKindBound; }))
         MemoTable.erase(View->Digest);
     }
   }
@@ -272,47 +250,19 @@ void StreamPipeline::pump(EventSource &Source) {
       return;
     }
   }
-  if (Par) {
-    // Batched pull: whole event batches flow from the source into the
-    // shard pipeline, complete with the per-chunk sync index the decoder
-    // emitted (or the SIMD kind-scan built) — the pre-pass jumps straight
-    // to the sync events without touching anything per event here. The
-    // detector hands back a recycled batch each round, so the loop is
-    // allocation-free in the steady state.
-    while (size_t N = Source.nextBatch(PumpBatch, Opts.BatchSize)) {
-      Events += N;
-      if (metrics::Enabled)
-        tallyBatchKinds(PumpBatch);
-      Par->processBatch(PumpBatch);
-    }
-    return;
-  }
-  if (Seq) {
-    // Batched pull for the sequential backend too: whole event batches
-    // flow into the detector's kinded kernel (one SIMD kind scan per
-    // batch, runs through the prefetch-pipelined engine), with the batch
-    // recycled each round so the loop is allocation-free in the steady
-    // state. Race callbacks fire after each batch.
-    while (size_t N = Source.nextBatch(PumpBatch, Opts.BatchSize)) {
-      Events += N;
-      if (metrics::Enabled)
-        tallyBatchKinds(PumpBatch);
-      Seq->processBatch(PumpBatch);
-      drainNewRaces();
-      PumpBatch.clear();
-    }
-    return;
-  }
-  Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
-  while (Source.next(E))
-    onEvent(E);
+  // Batched pull: whole event batches flow from the source into
+  // processBatch() — for the sequential backend, the detector's kinded
+  // kernel (one SIMD kind scan per batch, runs through the
+  // prefetch-pipelined engine) — with the batch recycled each round so
+  // the loop is allocation-free in the steady state. Race callbacks fire
+  // after each batch.
+  while (Source.nextBatch(PumpBatch, PullBatchSize))
+    processBatch(PumpBatch);
 }
 
 void StreamPipeline::objectDied(ObjectId Obj) {
   if (Seq)
     Seq->objectDied(Obj);
-  if (Par)
-    Par->objectDied(Obj);
 }
 
 StreamSummary StreamPipeline::run(EventSource &Source) {
@@ -323,11 +273,7 @@ StreamSummary StreamPipeline::run(EventSource &Source) {
 
 const std::vector<CommutativityRace> &StreamPipeline::races() const {
   static const std::vector<CommutativityRace> Empty;
-  if (Seq)
-    return Seq->races();
-  if (Par)
-    return Par->races();
-  return Empty;
+  return Seq ? Seq->races() : Empty;
 }
 
 const std::vector<MemoryRace> &StreamPipeline::memoryRaces() const {
@@ -346,8 +292,6 @@ StreamSummary StreamPipeline::summary() const {
   S.Races = races().size();
   if (Seq)
     S.DistinctRacyObjects = Seq->distinctRacyObjects();
-  if (Par)
-    S.DistinctRacyObjects = Par->distinctRacyObjects();
   S.MemoryRaces = memoryRaces().size();
   if (FT)
     S.DistinctRacyVars = FT->distinctRacyVars();
@@ -418,53 +362,6 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
   if (Seq) {
     writeEngineStats(W, Seq->engineStats());
     W.field("kernel_ns", Seq->kernelNs());
-  }
-  if (Par) {
-    ParallelMetrics M = Par->metricsSnapshot();
-    W.field("shards", static_cast<uint64_t>(Par->shards()));
-    W.field("batch_size", static_cast<uint64_t>(Par->batchSize()));
-    W.field("actions", M.Actions);
-    W.field("sync_events", M.SyncEvents);
-    // The acceptance metric of the run-based pre-pass: the fraction of the
-    // trace that stays sequential. prepass_events_visited counts exactly
-    // the events the caller thread ran the clock machine on.
-    W.field("sync_fraction",
-            M.Events ? static_cast<double>(M.SyncEvents) /
-                           static_cast<double>(M.Events)
-                     : 0.0);
-    W.field("prepass_events_visited", M.PrepassEventsVisited);
-    W.field("clock_snapshots", M.ClockSnapshots);
-    W.field("clock_maps", M.ClockMaps);
-    W.field("runs", M.Runs);
-    W.fieldArray("run_length_pow2", M.RunLengthPow2);
-    W.field("run_length_max", M.RunLengthMax);
-    W.field("pre_pass_ns", M.PrePassNs);
-    W.field("flush_wait_ns", M.FlushWaitNs);
-    W.field("merge_ns", M.MergeNs);
-    W.field("batch_spans", static_cast<uint64_t>(M.Spans.size()));
-    W.field("prepass_spans", static_cast<uint64_t>(M.PrePassSpans.size()));
-    W.key("per_shard");
-    W.beginArray();
-    for (size_t I = 0; I != M.Shards.size(); ++I) {
-      const ParallelShardMetrics &SM = M.Shards[I];
-      W.beginObject();
-      W.field("shard", static_cast<uint64_t>(I));
-      W.field("routed_events", SM.RoutedEvents);
-      W.field("batches", SM.Batches);
-      W.field("merged_races", SM.MergedRaces);
-      W.field("ring_full_stalls", SM.RingFullStalls);
-      W.field("stall_ns", SM.StallNs);
-      W.field("worker_ns", SM.WorkerNs);
-      W.key("engine");
-      W.beginObject();
-      writeEngineStats(W, SM.Engine);
-      W.endObject();
-      W.fieldArray("occupancy", SM.Occupancy);
-      W.field("occupancy_max", SM.OccupancyMax);
-      W.fieldArray("fill_deciles", SM.FillDeciles);
-      W.endObject();
-    }
-    W.endArray();
   }
   if (FT) {
     FastTrackStats FS = FT->stats();

@@ -8,10 +8,7 @@
 /// The streaming ingestion pipeline: pulls decoded events from any
 /// EventSource (or receives them pushed as an EventSink from a live
 /// SimRuntime) and feeds them incrementally into a detector backend —
-/// the sequential Algorithm 1 detector, the object-sharded
-/// ParallelDetector (events stream straight into its shard pipeline —
-/// the detector batches internally, and reports stay bit-identical to
-/// the sequential detector), the FastTrack baseline, or the online
+/// the Algorithm 1 detector, the FastTrack baseline, or the online
 /// atomicity checker. Races are surfaced through an optional callback
 /// the moment the backend reports them, plus an end-of-stream summary.
 /// No Trace is ever materialized.
@@ -24,7 +21,6 @@
 #include "detect/CommutativityDetector.h"
 #include "detect/FastTrack.h"
 #include "detect/OnlineAtomicity.h"
-#include "detect/ParallelDetector.h"
 #include "runtime/Sink.h"
 #include "wire/EventSource.h"
 
@@ -37,8 +33,7 @@ namespace wire {
 
 /// Which detector consumes the stream.
 enum class Backend {
-  Sequential, ///< CommutativityRaceDetector, event-at-a-time.
-  Parallel,   ///< ParallelDetector's streaming shard pipeline.
+  Sequential, ///< CommutativityRaceDetector (Algorithm 1).
   FastTrack,  ///< Low-level read/write races.
   Atomicity,  ///< OnlineAtomicityChecker (conflict-serializability).
 };
@@ -46,7 +41,7 @@ enum class Backend {
 /// End-of-stream report.
 struct StreamSummary {
   size_t Events = 0;
-  size_t Races = 0;            ///< Commutativity races (Sequential/Parallel).
+  size_t Races = 0;            ///< Commutativity races (Sequential).
   size_t DistinctRacyObjects = 0;
   size_t MemoryRaces = 0;      ///< FastTrack backend.
   size_t DistinctRacyVars = 0;
@@ -59,11 +54,6 @@ struct StreamSummary {
 /// Pipeline configuration.
 struct PipelineOptions {
   Backend TheBackend = Backend::Sequential;
-  unsigned Shards = 0;     ///< Parallel backend: 0 = hardware concurrency.
-  size_t BatchSize = 4096; ///< Parallel backend batch granularity (≥ 1).
-  /// Parallel backend: record a BatchSpan per dispatched batch for Chrome
-  /// tracing (CRD_METRICS builds only; see ParallelDetector).
-  bool TraceBatches = false;
   /// Chunk memoization level for binary sources carrying content digests
   /// (docs/trace-format.md). Decode enables the WireReader decode cache
   /// (repeated chunk payloads skip varint/delta decode); Full additionally
@@ -93,9 +83,8 @@ public:
   void bind(ObjectId Obj, const AccessPointProvider *Provider);
 
   /// Invoked for every commutativity race as soon as the backend reports
-  /// it (after the offending event for Sequential's per-event feed, after
-  /// the containing batch for its batched feed; at finish() for Parallel,
-  /// whose races surface when the pipeline flushes).
+  /// it (after the offending event for the per-event feed, after the
+  /// containing batch for the batched feed).
   void setRaceCallback(std::function<void(const CommutativityRace &)> Cb) {
     RaceCallback = std::move(Cb);
   }
@@ -108,11 +97,9 @@ public:
   void onEvent(const Event &E) override;
 
   /// Push-side counterpart of run()'s batched pull, used by the live
-  /// ingestion collector: feeds a whole batch. \p B's sync index must be
-  /// populated (finalizeSyncIndex() after manual appends). On return
-  /// \p B is empty with warm buffers — the parallel backend swaps in a
-  /// recycled batch, the other backends consume and clear() it — so a
-  /// caller can refill the same batch allocation-free.
+  /// ingestion collector: feeds a whole batch. On return \p B is empty
+  /// with warm buffers, so a caller can refill the same batch
+  /// allocation-free.
   void processBatch(EventBatch &B);
 
   /// Pulls \p Source dry, then finish()es. Returns the summary. With
@@ -132,9 +119,9 @@ public:
   /// are identical on both paths.
   void pump(EventSource &Source);
 
-  /// Forwards the paper's §5.3 reclamation hook to backends that keep
-  /// per-object state (sequential and parallel; FastTrack and atomicity
-  /// key state by variable/transaction and ignore it). Serving sessions
+  /// Forwards the paper's §5.3 reclamation hook to the backend that keeps
+  /// per-object state (sequential; FastTrack and atomicity key state by
+  /// variable/transaction and ignore it). Serving sessions
   /// call this for client die notices so long-lived streams keep the
   /// detector footprint bounded. Races already found are retained.
   void objectDied(ObjectId Obj);
@@ -147,8 +134,8 @@ public:
   /// arenas and caches (EventBatch::memoryFootprint()).
   size_t batchFootprint() const { return PumpBatch.memoryFootprint(); }
 
-  /// Flushes the parallel pipeline; must be called once the stream ends
-  /// when events were pushed via onEvent(). Idempotent.
+  /// Hands any races not yet passed to the callbacks over; call once the
+  /// stream ends when events were pushed via onEvent(). Idempotent.
   void finish();
 
   size_t eventsProcessed() const { return Events; }
@@ -159,11 +146,6 @@ public:
   const std::vector<CommutativityRace> &races() const;
   const std::vector<MemoryRace> &memoryRaces() const;
   const std::vector<AtomicityViolation> &violations() const;
-
-  /// The parallel backend, or nullptr for other backends. Exposed so
-  /// callers (crd profile) can pull the full metrics snapshot / batch
-  /// spans. Quiesce with finish() before reading.
-  const ParallelDetector *parallelDetector() const { return Par.get(); }
 
   /// The sequential backend, or nullptr for other backends. Exposed so
   /// callers (crd bench) can read the batched-kernel timing directly.
@@ -193,7 +175,6 @@ private:
   ChunkMemoTable MemoTable;
   PipelineMemoStats MemoStats;
   std::unique_ptr<CommutativityRaceDetector> Seq;
-  std::unique_ptr<ParallelDetector> Par;
   std::unique_ptr<FastTrackDetector> FT;
   std::unique_ptr<OnlineAtomicityChecker> Atom;
   std::function<void(const CommutativityRace &)> RaceCallback;

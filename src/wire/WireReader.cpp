@@ -325,10 +325,6 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
            " trailing payload bytes after last event");
       break;
     }
-    // The kind is in hand — extend the sync-event index for free instead
-    // of re-scanning the batch afterwards.
-    if (static_cast<uint8_t>(E.kind()) < SyncKindBound)
-      B.SyncPos.push_back(static_cast<uint32_t>(B.size()));
     B.appendPinned(std::move(E));
     ++Decoded;
   }
@@ -410,8 +406,6 @@ bool WireReader::stageChunk() {
   for (uint64_t Left = *Count; Left != 0; --Left) {
     if (!decodeEvent(E, Dst->Values))
       return false;
-    if (static_cast<uint8_t>(E.kind()) < SyncKindBound)
-      Dst->SyncPos.push_back(static_cast<uint32_t>(Dst->size()));
     Dst->appendPinned(std::move(E));
   }
   if (Pos != Payload.size()) {
@@ -422,11 +416,10 @@ bool WireReader::stageChunk() {
   OpenView.Events = Dst->size();
   if (NewEntry) {
     NewEntry->Payload = Payload;
-    // Entry footprint estimate: payload + event/kind/sync vectors + pinned
+    // Entry footprint estimate: payload + event/kind vectors + pinned
     // values. Good enough to bound the cache; exactness is not the point.
     CacheBytes += NewEntry->Payload.size() +
                   Dst->Events.size() * sizeof(Event) + Dst->Kinds.size() +
-                  Dst->SyncPos.size() * sizeof(uint32_t) +
                   Dst->Values.bytesUsed();
     Staged = Dst;
     Cache.emplace(Digest, std::move(NewEntry));

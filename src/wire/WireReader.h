@@ -90,10 +90,9 @@ public:
   /// chunk boundaries as needed, and returns how many were appended (0 at
   /// end of stream or on a structural error). Unlike next(), the decoded
   /// invoke values are pinned in the BATCH's own arena (B.Values), so the
-  /// batch is self-contained — it survives chunk turnover and can be
-  /// handed to another thread wholesale. The per-chunk sync-event index
-  /// (B.Kinds / B.SyncPos) is emitted during decode, where the kind byte
-  /// is already in hand — no separate scan pass.
+  /// batch is self-contained — it survives chunk turnover. The kind array
+  /// (B.Kinds) is filled during decode, where the kind byte is already in
+  /// hand — no separate pass.
   size_t nextBatch(EventBatch &B, size_t MaxEvents);
 
   /// True once a structural error has been diagnosed; the stream position

@@ -128,9 +128,8 @@ const DictionaryRep &dictRep() {
 }
 
 /// Streams a binary encoding of \p T chunked at \p EventsPerChunk through
-/// the given backend and returns the race reports.
+/// the sequential backend and returns the race reports.
 std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
-                                                Backend TheBackend,
                                                 size_t EventsPerChunk) {
   std::ostringstream OS;
   WireWriter Writer(OS, EventsPerChunk);
@@ -141,11 +140,7 @@ std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
   BinaryStreamSource Source(In, Diags);
-  PipelineOptions Opts;
-  Opts.TheBackend = TheBackend;
-  Opts.Shards = TheBackend == Backend::Parallel ? 2 : 0;
-  Opts.BatchSize = 37; // Odd size so shard batches straddle wire chunks.
-  StreamPipeline Pipeline(Opts);
+  StreamPipeline Pipeline;
   Pipeline.setDefaultProvider(&dictRep());
   Pipeline.run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
@@ -153,11 +148,11 @@ std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
 }
 
 TEST(ArenaTest, StreamPipelineSurvivesChunkResets) {
-  // Tiny wire chunks (8 events) maximize arena resets mid-stream; batches
-  // of 37 events force the parallel backend to hold decoded payloads
-  // across several resets. Any value read after its chunk's reset is a
-  // use-after-reset asan would catch here, and stale bytes would change
-  // the race reports against the materialized baseline.
+  // Tiny wire chunks (8 events) maximize arena resets mid-stream; each
+  // pulled batch spans dozens of chunks, so its pinned payloads must
+  // survive every reset in between. Any value read after its chunk's
+  // reset is a use-after-reset asan would catch here, and stale bytes
+  // would change the race reports against the materialized baseline.
   Trace T = testgen::randomTrace(/*Seed=*/20140607, /*Workers=*/4,
                                  /*OpsPerWorker=*/120, /*Keys=*/6);
 
@@ -167,14 +162,12 @@ TEST(ArenaTest, StreamPipelineSurvivesChunkResets) {
   ASSERT_FALSE(Baseline.races().empty())
       << "trace too tame to witness lifetime bugs";
 
-  for (Backend B : {Backend::Sequential, Backend::Parallel}) {
-    std::vector<CommutativityRace> Streamed = racesViaPipeline(T, B, 8);
-    ASSERT_EQ(Streamed.size(), Baseline.races().size());
-    for (size_t I = 0; I != Streamed.size(); ++I)
-      EXPECT_TRUE(Streamed[I] == Baseline.races()[I])
-          << "race " << I << " diverged:\n  " << Streamed[I].toString()
-          << "\n  " << Baseline.races()[I].toString();
-  }
+  std::vector<CommutativityRace> Streamed = racesViaPipeline(T, 8);
+  ASSERT_EQ(Streamed.size(), Baseline.races().size());
+  for (size_t I = 0; I != Streamed.size(); ++I)
+    EXPECT_TRUE(Streamed[I] == Baseline.races()[I])
+        << "race " << I << " diverged:\n  " << Streamed[I].toString()
+        << "\n  " << Baseline.races()[I].toString();
 }
 
 } // namespace

@@ -9,8 +9,8 @@
 /// insert/find/erase interleavings, collision chains, tombstone-avoiding
 /// erase, rehash behavior, control-byte invariants, group wraparound, and
 /// a SIMD-vs-scalar probe differential) and the bounded SPSC ring that
-/// carries shard batches (FIFO order, blocking backpressure, close
-/// semantics).
+/// carries live producers' events (FIFO order, blocking backpressure,
+/// close semantics).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -483,7 +483,7 @@ TEST(IngestTest, LiveRecorderSinkMatchesTraceRecorderPerThread) {
   EXPECT_EQ(S.eventsCollected(), Reference.trace().size());
 }
 
-TEST(IngestTest, ProcessBatchMatchesRunSequential) {
+TEST(IngestTest, ProcessBatchMatchesRun) {
   Trace T = testgen::randomTrace(77, 3, 120, 6);
   wire::PipelineOptions POpts;
 
@@ -506,49 +506,12 @@ TEST(IngestTest, ProcessBatchMatchesRunSequential) {
   EventBatch B;
   for (size_t I = 0; I != T.size(); ++I) {
     B.append(T[I]);
-    if (B.size() == 7 || I + 1 == T.size()) {
-      B.finalizeSyncIndex();
+    if (B.size() == 7 || I + 1 == T.size())
       Pushed.processBatch(B); // Returns B empty, buffers warm.
-    }
   }
   Pushed.finish();
   EXPECT_EQ(Pushed.races(), Pulled->races());
   EXPECT_EQ(Pushed.eventsProcessed(), T.size());
-}
-
-TEST(IngestTest, ProcessBatchMatchesRunParallel) {
-  Trace T = testgen::randomTrace(99, 4, 150, 5);
-  wire::PipelineOptions Seq;
-  std::unique_ptr<wire::StreamPipeline> Reference;
-  {
-    std::ostringstream OS;
-    wire::WireWriter W(OS);
-    W.writeTrace(T);
-    W.finish();
-    std::istringstream In(OS.str());
-    DiagnosticEngine Diags;
-    wire::BinaryStreamSource Src(In, Diags);
-    Reference = std::make_unique<wire::StreamPipeline>(Seq);
-    Reference->setDefaultProvider(&dictRep());
-    Reference->run(Src);
-  }
-
-  wire::PipelineOptions Par;
-  Par.TheBackend = wire::Backend::Parallel;
-  Par.Shards = 3;
-  Par.BatchSize = 16;
-  wire::StreamPipeline Pushed(Par);
-  Pushed.setDefaultProvider(&dictRep());
-  EventBatch B;
-  for (size_t I = 0; I != T.size(); ++I) {
-    B.append(T[I]);
-    if (B.size() == 11 || I + 1 == T.size()) {
-      B.finalizeSyncIndex();
-      Pushed.processBatch(B);
-    }
-  }
-  Pushed.finish();
-  EXPECT_EQ(Pushed.races(), Reference->races());
 }
 
 TEST(IngestTest, RecorderMoveAndAutoFinish) {

@@ -9,8 +9,8 @@
 /// appendKindPositions (SSE2 on hosts that have it) must produce
 /// byte-identical output to the always-compiled scalar reference, across
 /// randomized kind arrays, every tail length mod 16, threshold extremes,
-/// and non-zero base offsets. The parallel pipeline's pre-pass trusts this
-/// index blindly — a single missed or spurious sync position would
+/// and non-zero base offsets. The batched detection kernel trusts these
+/// positions blindly — a single missed or spurious sync position would
 /// desynchronize the clock machine from the trace.
 ///
 //===----------------------------------------------------------------------===//

@@ -7,10 +7,10 @@
 /// \file
 /// The chunk-memoization contract (docs/trace-format.md "Versioning and
 /// the content digest"): digests are stable across writer runs, races are
-/// bit-identical under every --memo mode × backend × batch size, a
-/// corrupted digest fails like a corrupted CRC, sync churn forces 100%
-/// fallback without changing the report, legacy digest-less files still
-/// decode, and the crd CLI validates --memo end to end.
+/// bit-identical under every --memo mode, a corrupted digest fails like a
+/// corrupted CRC, sync churn forces 100% fallback without changing the
+/// report, legacy digest-less files still decode, and the crd CLI
+/// validates --memo end to end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,9 +116,9 @@ TEST(MemoTest, DigestStableAcrossWriterRuns) {
 }
 
 // Races must be bit-identical (full struct equality, clocks included)
-// across every memo mode, backend, and batch size; the layers that are
-// supposed to engage must actually engage.
-TEST(MemoTest, RacesBitIdenticalAcrossModesAndBackends) {
+// across every memo mode; the layers that are supposed to engage must
+// actually engage.
+TEST(MemoTest, RacesBitIdenticalAcrossModes) {
   size_t Events = 0;
   std::string Wire = repetitiveWire(smallConfig(), &Events);
 
@@ -130,40 +130,29 @@ TEST(MemoTest, RacesBitIdenticalAcrossModesAndBackends) {
   EXPECT_EQ(Baseline.Reader.MemoCacheEntries, 0u);
 
   for (MemoMode Memo : {MemoMode::Off, MemoMode::Decode, MemoMode::Full}) {
-    for (Backend B : {Backend::Sequential, Backend::Parallel}) {
-      for (size_t Batch : {size_t(3), size_t(4096)}) {
-        if (B == Backend::Sequential && Batch != 4096)
-          continue; // Batch size only affects the parallel backend.
-        PipelineOptions Opts;
-        Opts.TheBackend = B;
-        Opts.Shards = 2;
-        Opts.BatchSize = Batch;
-        Opts.Memo = Memo;
-        AnalyzeResult R = analyzeWire(Wire, Opts);
-        SCOPED_TRACE(testing::Message()
-                     << "memo=" << int(Memo) << " backend=" << int(B)
-                     << " batch=" << Batch);
-        EXPECT_EQ(R.Summary.Events, Events);
-        EXPECT_TRUE(R.Races == Baseline.Races);
+    PipelineOptions Opts;
+    Opts.Memo = Memo;
+    AnalyzeResult R = analyzeWire(Wire, Opts);
+    SCOPED_TRACE(testing::Message() << "memo=" << int(Memo));
+    EXPECT_EQ(R.Summary.Events, Events);
+    EXPECT_TRUE(R.Races == Baseline.Races);
 
-        if (Memo == MemoMode::Off) {
-          EXPECT_EQ(R.Reader.MemoHits, 0u);
-        } else {
-          // The decode cache serves every repeated body chunk.
-          EXPECT_GT(R.Reader.MemoHits, 0u);
-          EXPECT_GT(R.Reader.MemoBytesSaved, 0u);
-          EXPECT_GT(R.Reader.MemoCacheEntries, 0u);
-        }
-        if (Memo == MemoMode::Full && B == Backend::Sequential) {
-          EXPECT_GT(R.Memo.SummaryHits, 0u);
-          EXPECT_GT(R.Memo.SummaryRecords, 0u);
-          EXPECT_GT(R.Memo.EventsReplayed, 0u);
-        } else {
-          // Other modes/backends degrade to decode-level caching.
-          EXPECT_EQ(R.Memo.SummaryHits, 0u);
-          EXPECT_EQ(R.Memo.EventsReplayed, 0u);
-        }
-      }
+    if (Memo == MemoMode::Off) {
+      EXPECT_EQ(R.Reader.MemoHits, 0u);
+    } else {
+      // The decode cache serves every repeated body chunk.
+      EXPECT_GT(R.Reader.MemoHits, 0u);
+      EXPECT_GT(R.Reader.MemoBytesSaved, 0u);
+      EXPECT_GT(R.Reader.MemoCacheEntries, 0u);
+    }
+    if (Memo == MemoMode::Full) {
+      EXPECT_GT(R.Memo.SummaryHits, 0u);
+      EXPECT_GT(R.Memo.SummaryRecords, 0u);
+      EXPECT_GT(R.Memo.EventsReplayed, 0u);
+    } else {
+      // Decode mode only caches decoded chunks; no summaries replay.
+      EXPECT_EQ(R.Memo.SummaryHits, 0u);
+      EXPECT_EQ(R.Memo.EventsReplayed, 0u);
     }
   }
 }

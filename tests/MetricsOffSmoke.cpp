@@ -54,11 +54,6 @@ TEST(MetricsOffSmoke, HistogramsAreInert) {
   P.record(12345);
   EXPECT_EQ(P.count(), 0u);
   EXPECT_EQ(Pow2Histogram<8>::bucketOf(12345), 0u);
-
-  LinearHistogram<8> Other;
-  Other.record(1);
-  L.merge(Other); // Must compile and stay inert.
-  EXPECT_EQ(L.count(), 0u);
 }
 
 TEST(MetricsOffSmoke, JsonWriterStaysLive) {

@@ -7,7 +7,7 @@
 /// Unit tests for support/Metrics.h (counters, histograms, JSON emission)
 /// plus end-to-end snapshot properties of the pipeline instrumentation:
 /// counter exactness under one-writer-per-counter concurrency (the padding
-/// contract), histogram bucketing and merging, JsonWriter escaping, and
+/// contract), histogram bucketing, JsonWriter escaping, and
 /// determinism of the JSON snapshot across identical runs (modulo `_ns`
 /// timing fields). The suite passes in CRD_METRICS=ON and OFF builds; the
 /// instrumentation-dependent assertions are gated on metrics::Enabled.
@@ -61,7 +61,7 @@ TEST(MetricsCounterTest, ExactUnderOneWriterPerCounter) {
   if (!Enabled)
     GTEST_SKIP() << "counters are empty shells in a CRD_METRICS=OFF build";
   // One writer per counter, counters adjacent in an array — exactly the
-  // per-shard layout. Non-atomic increments must still be exact because
+  // per-thread layout. Non-atomic increments must still be exact because
   // no two threads touch the same counter (and padding keeps the writes
   // on distinct lines; a shared line would be slow, not wrong, so the
   // real assertion is exactness of plain increments under concurrency).
@@ -104,25 +104,6 @@ TEST(MetricsHistogramTest, LinearBucketingAndTail) {
   EXPECT_EQ(H.count(), 5u);
   EXPECT_EQ(H.sum(), 0u + 1 + 2 + 3 + 99);
   EXPECT_EQ(H.max(), 99u);
-}
-
-TEST(MetricsHistogramTest, LinearMerge) {
-  LinearHistogram<4> A, B;
-  A.record(1);
-  A.record(7);
-  B.record(1);
-  B.record(2);
-  A.merge(B);
-  if (!Enabled) {
-    EXPECT_EQ(A.count(), 0u);
-    return;
-  }
-  EXPECT_EQ(A.bucket(1), 2u);
-  EXPECT_EQ(A.bucket(2), 1u);
-  EXPECT_EQ(A.bucket(3), 1u);
-  EXPECT_EQ(A.count(), 4u);
-  EXPECT_EQ(A.sum(), 11u);
-  EXPECT_EQ(A.max(), 7u);
 }
 
 TEST(MetricsHistogramTest, Pow2BucketBoundaries) {
@@ -226,32 +207,21 @@ std::string snapshotOf(const Trace &T, wire::PipelineOptions Opts) {
   return OS.str();
 }
 
-/// Zeroes every `"*_ns": <digits>` field and the queue-depth observations
-/// (`occupancy[]`, `occupancy_max`, `ring_full_stalls`): wall-clock times
-/// and how far the workers had drained their rings at each dispatch vary
-/// between identical runs — the run-based pre-pass races genuinely ahead
-/// of the shard workers — but everything else must not.
+/// Zeroes every `"*_ns": <digits>` field: wall-clock times vary between
+/// identical runs, but everything else must not.
 std::string stripTimes(const std::string &Json) {
   static const std::regex TimeField("(\"[a-z_]*_ns\": )[0-9]+");
-  static const std::regex QueueDepth(
-      "(\"(?:occupancy_max|ring_full_stalls)\": )[0-9]+");
-  static const std::regex OccupancyArray("\"occupancy\": \\[[^\\]]*\\]");
-  std::string S = std::regex_replace(Json, TimeField, "$10");
-  S = std::regex_replace(S, QueueDepth, "$10");
-  return std::regex_replace(S, OccupancyArray, "\"occupancy\": [stripped]");
+  return std::regex_replace(Json, TimeField, "$10");
 }
 
 } // namespace
 
 TEST(MetricsSnapshotTest, DeterministicAcrossIdenticalRuns) {
   Trace T = testgen::randomTrace(7, 4, 60, 6);
-  for (wire::Backend B :
-       {wire::Backend::Sequential, wire::Backend::Parallel,
-        wire::Backend::FastTrack}) {
+  for (wire::Backend B : {wire::Backend::Sequential, wire::Backend::FastTrack,
+                          wire::Backend::Atomicity}) {
     wire::PipelineOptions Opts;
     Opts.TheBackend = B;
-    Opts.Shards = 2;
-    Opts.BatchSize = 16;
     std::string First = stripTimes(snapshotOf(T, Opts));
     std::string Second = stripTimes(snapshotOf(T, Opts));
     EXPECT_EQ(First, Second) << "backend " << static_cast<int>(B);
@@ -260,18 +230,13 @@ TEST(MetricsSnapshotTest, DeterministicAcrossIdenticalRuns) {
 
 TEST(MetricsSnapshotTest, SnapshotIsWellFormedAndCarriesSchema) {
   Trace T = testgen::randomTrace(3, 3, 40, 5);
-  wire::PipelineOptions Opts;
-  Opts.TheBackend = wire::Backend::Parallel;
-  Opts.Shards = 3;
-  Opts.BatchSize = 8;
-  std::string Json = snapshotOf(T, Opts);
+  std::string Json = snapshotOf(T, {});
   // Structural keys every snapshot must carry (schema in
   // docs/observability.md); full JSON parsing is the docs checker's job.
   for (const char *Key :
        {"\"metrics_enabled\"", "\"backend\"", "\"events\"",
         "\"events_by_kind\"", "\"summary\"", "\"source\"", "\"detector\"",
-        "\"per_shard\"", "\"routed_events\"", "\"occupancy\"",
-        "\"fill_deciles\""})
+        "\"conflict_checks\"", "\"lookahead_occupancy\"", "\"kernel_ns\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   EXPECT_NE(Json.find(Enabled ? "\"metrics_enabled\": true"
                               : "\"metrics_enabled\": false"),
@@ -279,14 +244,12 @@ TEST(MetricsSnapshotTest, SnapshotIsWellFormedAndCarriesSchema) {
 }
 
 TEST(MetricsSnapshotTest, OffBuildSnapshotStillStructurallyLive) {
-  // Counts that stay live regardless of CRD_METRICS: total events and the
-  // per-shard routed-event balance.
+  // Counts that stay live regardless of CRD_METRICS: total events and
+  // the phase-1 conflict checks.
   Trace T = testgen::randomTrace(11, 3, 30, 4);
-  wire::PipelineOptions Opts;
-  Opts.TheBackend = wire::Backend::Parallel;
-  Opts.Shards = 2;
-  std::string Json = snapshotOf(T, Opts);
+  std::string Json = snapshotOf(T, {});
   std::ostringstream Expect;
   Expect << "\"events\": " << T.size();
   EXPECT_NE(Json.find(Expect.str()), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"conflict_checks\": 0,"), std::string::npos) << Json;
 }

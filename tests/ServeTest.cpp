@@ -200,10 +200,9 @@ struct ModeCase {
 };
 
 const ModeCase Matrix[] = {
-    {"seq", nullptr},        {"seq", "decode"},      {"seq", "full"},
-    {"parallel", nullptr},   {"parallel", "decode"}, {"parallel", "full"},
-    {"fasttrack", nullptr},  {"fasttrack", "decode"},
-    {"atomicity", nullptr},  {"atomicity", "decode"},
+    {"seq", nullptr},       {"seq", "decode"},       {"seq", "full"},
+    {"fasttrack", nullptr}, {"fasttrack", "decode"}, {"atomicity", nullptr},
+    {"atomicity", "decode"},
 };
 
 std::vector<std::string> checkArgs(const TestTrace &T, const ModeCase &M) {
@@ -422,9 +421,26 @@ TEST(ServeTest, FootprintCeilingKillsTheSessionWithAdvice) {
 
 TEST(ServeTest, BadHandshakeIsRejected) {
   auto Rep = loadDictionary();
-  serve::Session S(1, serve::SessionLimits(), Rep.get(), false);
-  std::string Reply = runDirect(S, "crd-serve/999 detector=seq\n");
-  EXPECT_NE(Reply.find("\"type\":\"error\""), std::string::npos) << Reply;
+  // A wrong protocol version, and the keys and values of the removed
+  // intra-trace parallel backend: each must get an error reply, not a
+  // session that silently ignores it.
+  for (const char *Line :
+       {"crd-serve/999 detector=seq", "crd-serve/1 detector=parallel",
+        "crd-serve/1 shards=2", "crd-serve/1 batch=64"}) {
+    serve::Session S(1, serve::SessionLimits(), Rep.get(), false);
+    std::string Reply = runDirect(S, std::string(Line) + "\n");
+    EXPECT_NE(Reply.find("\"type\":\"error\""), std::string::npos)
+        << Line << ": " << Reply;
+  }
+}
+
+TEST(ServeTest, RemovedParallelOptionsAreUsageErrors) {
+  TestTrace T;
+  for (const char *Flag : {"--detector=parallel", "--shards=4", "--batch=64"}) {
+    std::ostringstream Out, Err;
+    EXPECT_EQ(cli::crdMain({"check", Flag, T.Path}, Out, Err), 2) << Flag;
+    EXPECT_EQ(Out.str(), "") << Flag;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,8 +8,9 @@
 /// path: for every backend, running StreamPipeline over a binary-encoded
 /// trace (decoded chunk-at-a-time, never materializing a Trace) reports
 /// bit-identical results to running the corresponding detector over the
-/// parsed text Trace — including the ParallelDetector backend at odd
-/// batch sizes and every shard count, where batches split mid-trace.
+/// parsed text Trace. The batched Algorithm 1 kernel is additionally held
+/// to the per-event detector at hand-cut batch sizes, where batches split
+/// runs and sync events land on batch edges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "detect/OnlineAtomicity.h"
 #include "runtime/InstrumentedMap.h"
 #include "runtime/SimRuntime.h"
+#include "trace/EventBatch.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "wire/StreamPipeline.h"
@@ -40,9 +42,9 @@ const DictionaryRep &dictRep() {
   return Rep;
 }
 
-std::string encodeWire(const Trace &T, size_t EventsPerChunk = 64) {
+std::string encodeWire(const Trace &T) {
   std::ostringstream OS;
-  WireWriter Writer(OS, EventsPerChunk);
+  WireWriter Writer(OS, /*EventsPerChunk=*/64);
   Writer.writeTrace(T);
   Writer.finish();
   return OS.str();
@@ -51,9 +53,8 @@ std::string encodeWire(const Trace &T, size_t EventsPerChunk = 64) {
 /// Runs \p Opts over the binary encoding of \p T and returns the summary;
 /// the pipeline itself is returned through \p Out for result inspection.
 StreamSummary runBinary(const Trace &T, PipelineOptions Opts,
-                        std::unique_ptr<StreamPipeline> &Out,
-                        size_t EventsPerChunk = 64) {
-  std::string Bytes = encodeWire(T, EventsPerChunk);
+                        std::unique_ptr<StreamPipeline> &Out) {
+  std::string Bytes = encodeWire(T);
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
   BinaryStreamSource Source(In, Diags);
@@ -134,221 +135,39 @@ TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel backend
+// Batched kernel vs per-event detector
 //===----------------------------------------------------------------------===//
-
-TEST(StreamPipelineTest, ParallelBackendBitIdenticalAcrossBatchesAndShards) {
-  Trace T = testgen::randomTrace(9, 4, 50, 6);
-
-  CommutativityRaceDetector Reference;
-  Reference.setDefaultProvider(&dictRep());
-  Reference.processTrace(T);
-
-  // Odd batch sizes force splits at arbitrary trace positions; the
-  // sharded detector's state must carry across them.
-  for (size_t Batch : {size_t(1), size_t(17), size_t(100), size_t(4096)}) {
-    for (unsigned Shards = 1; Shards <= 4; ++Shards) {
-      std::unique_ptr<StreamPipeline> P;
-      PipelineOptions Opts;
-      Opts.TheBackend = Backend::Parallel;
-      Opts.Shards = Shards;
-      Opts.BatchSize = Batch;
-      StreamSummary S = runBinary(T, Opts, P, /*EventsPerChunk=*/33);
-
-      EXPECT_EQ(S.Events, T.size())
-          << "batch=" << Batch << " shards=" << Shards;
-      expectRacesIdentical(P->races(), Reference.races());
-    }
-  }
-}
-
-TEST(StreamPipelineTest, ParallelPushModeNeedsFinish) {
-  Trace T = testgen::randomTrace(31, 3, 30, 4);
-
-  CommutativityRaceDetector Reference;
-  Reference.setDefaultProvider(&dictRep());
-  Reference.processTrace(T);
-
-  PipelineOptions Opts;
-  Opts.TheBackend = Backend::Parallel;
-  Opts.Shards = 2;
-  Opts.BatchSize = 64;
-  StreamPipeline P(Opts);
-  P.setDefaultProvider(&dictRep());
-  for (size_t I = 0; I != T.size(); ++I)
-    P.onEvent(T[I]);
-  P.finish();
-  P.finish(); // Idempotent.
-
-  EXPECT_EQ(P.eventsProcessed(), T.size());
-  expectRacesIdentical(P.races(), Reference.races());
-}
-
-TEST(StreamPipelineTest, MetricsSnapshotAccountsForEveryEvent) {
-  // The observability contract (docs/observability.md): on a quiesced
-  // pipeline, per-shard routed-event totals sum to the trace's action
-  // count, and total events match the trace size — across batch and shard
-  // configurations, in every build (RoutedEvents stays live with
-  // CRD_METRICS=OFF).
-  Trace T = testgen::randomTrace(9, 4, 50, 6);
-  size_t Actions = 0, Syncs = 0;
-  for (const Event &E : T) {
-    Actions += E.isInvoke();
-    Syncs += E.isSync();
-  }
-
-  for (size_t Batch : {size_t(1), size_t(3), size_t(64)}) {
-    for (unsigned Shards : {1u, 2u, 4u}) {
-      std::unique_ptr<StreamPipeline> P;
-      PipelineOptions Opts;
-      Opts.TheBackend = Backend::Parallel;
-      Opts.Shards = Shards;
-      Opts.BatchSize = Batch;
-      StreamSummary S = runBinary(T, Opts, P, /*EventsPerChunk=*/17);
-      SCOPED_TRACE(::testing::Message()
-                   << "batch=" << Batch << " shards=" << Shards);
-
-      ASSERT_NE(P->parallelDetector(), nullptr);
-      ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
-      EXPECT_EQ(M.Events, T.size());
-      EXPECT_EQ(S.Events, T.size());
-      ASSERT_EQ(M.Shards.size(), Shards);
-      uint64_t Routed = 0, MergedRaces = 0, Batches = 0;
-      for (const ParallelShardMetrics &SM : M.Shards) {
-        Routed += SM.RoutedEvents;
-        MergedRaces += SM.MergedRaces;
-        Batches += SM.Batches;
-      }
-      // Shard routing covers exactly the action events; everything else
-      // stays on the pre-pass thread.
-      EXPECT_EQ(Routed, Actions);
-      EXPECT_EQ(M.Actions, Actions);
-      EXPECT_EQ(M.Events - M.Actions, T.size() - Actions);
-      // Per-shard merged races sum to the pipeline's race report.
-      EXPECT_EQ(MergedRaces, S.Races);
-      if (metrics::Enabled) {
-        EXPECT_EQ(M.SyncEvents, Syncs);
-        // Every routed action was executed in some batch, and no batch
-        // can carry more than the configured size.
-        EXPECT_GE(Batches, (Actions + Batch - 1) / Batch);
-        for (const ParallelShardMetrics &SM : M.Shards)
-          EXPECT_EQ(SM.Engine.Actions, SM.RoutedEvents);
-      }
-    }
-  }
-}
-
-TEST(StreamPipelineTest, BatchSpansCoverEveryDispatchedBatch) {
-  if (!metrics::Enabled)
-    GTEST_SKIP() << "batch tracing needs a CRD_METRICS build";
-  Trace T = testgen::randomTrace(9, 4, 50, 6);
-  size_t Actions = 0;
-  for (const Event &E : T)
-    Actions += E.isInvoke();
-
-  for (unsigned Shards : {1u, 3u}) {
-    std::unique_ptr<StreamPipeline> P;
-    PipelineOptions Opts;
-    Opts.TheBackend = Backend::Parallel;
-    Opts.Shards = Shards;
-    Opts.BatchSize = 8;
-    Opts.TraceBatches = true;
-    runBinary(T, Opts, P);
-    SCOPED_TRACE(::testing::Message() << "shards=" << Shards);
-
-    ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
-    uint64_t Batches = 0, SpanEvents = 0;
-    for (const ParallelShardMetrics &SM : M.Shards)
-      Batches += SM.Batches;
-    EXPECT_EQ(M.Spans.size(), Batches);
-    for (const BatchSpan &S : M.Spans) {
-      EXPECT_LT(S.Shard, Shards);
-      EXPECT_LE(S.EnqueueNs, S.BeginNs);
-      EXPECT_LE(S.BeginNs, S.EndNs);
-      SpanEvents += S.Events;
-    }
-    // Spans partition the routed actions.
-    EXPECT_EQ(SpanEvents, Actions);
-
-    // The Chrome-trace rendering contains one "X" slice per span (plus
-    // queued slices) and is non-empty JSON.
-    std::ostringstream TraceOS;
-    writeChromeTrace(TraceOS, M);
-    std::string Rendered = TraceOS.str();
-    EXPECT_NE(Rendered.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(Rendered.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(Rendered.find("\"thread_name\""), std::string::npos);
-  }
-}
 
 namespace {
 
-/// Runs the parallel backend over \p T across shard/batch combinations and
-/// expects bit-identical races to the sequential reference. Returns the
-/// reference race count so callers can assert the trace was non-trivial.
-size_t expectParallelMatchesReference(
-    const Trace &T, std::initializer_list<unsigned> ShardCounts,
-    std::initializer_list<size_t> BatchSizes, size_t EventsPerChunk = 7) {
-  CommutativityRaceDetector Reference;
-  Reference.setDefaultProvider(&dictRep());
-  Reference.processTrace(T);
-
-  for (unsigned Shards : ShardCounts)
-    for (size_t Batch : BatchSizes) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << Shards << " batch=" << Batch);
-      std::unique_ptr<StreamPipeline> P;
-      PipelineOptions Opts;
-      Opts.TheBackend = Backend::Parallel;
-      Opts.Shards = Shards;
-      Opts.BatchSize = Batch;
-      StreamSummary S = runBinary(T, Opts, P, EventsPerChunk);
-      EXPECT_EQ(S.Events, T.size());
-      expectRacesIdentical(P->races(), Reference.races());
-    }
-  return Reference.races().size();
-}
-
-} // namespace
-
-TEST(StreamPipelineTest, SyncEventsAtBatchBoundaries) {
-  // Hand-placed sync events at both edges of every batch-of-4: positions
-  // 0/4/8/12 open a batch, 3/7/11 close one. The pre-pass must seed the
-  // first run of a batch from clocks published by the previous batch and
-  // publish boundary snapshots for the next one — an off-by-one in either
-  // direction changes which clock an invoke observes and breaks the
-  // bit-identical guarantee.
+/// Sync events at both edges of every batch-of-4: positions 0/4/8/12 open
+/// a batch, 3/7/11 close one. An off-by-one at a batch edge changes which
+/// clock an invoke observes.
+Trace syncAtBatchEdgesTrace() {
   Value K1 = Value::string("k1"), K2 = Value::string("k2");
-  Trace T = TraceBuilder()
-                .fork(0, 1)                                       // 0 sync
-                .fork(0, 2)                                       // 1 sync
-                .invoke(1, 7, "put", {K1, Value::integer(10)}, Value::nil())
-                .acquire(1, 0)                                    // 3 sync
-                .release(1, 0)                                    // 4 sync
-                .invoke(2, 7, "put", {K1, Value::integer(20)}, Value::nil())
-                .invoke(1, 7, "put", {K2, Value::integer(1)}, Value::nil())
-                .acquire(2, 0)                                    // 7 sync
-                .release(2, 0)                                    // 8 sync
-                .invoke(2, 7, "put", {K2, Value::integer(2)}, Value::nil())
-                .invoke(1, 8, "get", {K1}, Value::integer(10))
-                .join(0, 1)                                       // 11 sync
-                .join(0, 2)                                       // 12 sync
-                .invoke(0, 7, "put", {K1, Value::integer(30)}, Value::nil())
-                .invoke(0, 8, "get", {K1}, Value::integer(30))
-                .take();
-
-  // Batch 4 is the engineered alignment; the neighbors make sure the
-  // result does not depend on it.
-  size_t Races =
-      expectParallelMatchesReference(T, {1u, 2u, 3u}, {1, 2, 4, 5, 64});
-  EXPECT_GT(Races, 0u) << "boundary trace should race (put/put on k1, k2)";
+  return TraceBuilder()
+      .fork(0, 1)                                       // 0 sync
+      .fork(0, 2)                                       // 1 sync
+      .invoke(1, 7, "put", {K1, Value::integer(10)}, Value::nil())
+      .acquire(1, 0)                                    // 3 sync
+      .release(1, 0)                                    // 4 sync
+      .invoke(2, 7, "put", {K1, Value::integer(20)}, Value::nil())
+      .invoke(1, 7, "put", {K2, Value::integer(1)}, Value::nil())
+      .acquire(2, 0)                                    // 7 sync
+      .release(2, 0)                                    // 8 sync
+      .invoke(2, 7, "put", {K2, Value::integer(2)}, Value::nil())
+      .invoke(1, 8, "get", {K1}, Value::integer(10))
+      .join(0, 1)                                       // 11 sync
+      .join(0, 2)                                       // 12 sync
+      .invoke(0, 7, "put", {K1, Value::integer(30)}, Value::nil())
+      .invoke(0, 8, "get", {K1}, Value::integer(30))
+      .take();
 }
 
-TEST(StreamPipelineTest, BackToBackSyncEventsYieldEmptyRuns) {
-  // Consecutive sync events produce zero-length runs between them; the
-  // pre-pass must advance the clock machine through each one without
-  // dispatching anything, and the snapshots the *last* sync published are
-  // the ones the next invoke observes.
+/// Consecutive sync events produce zero-length runs between them; the
+/// clocks the *last* of them leaves behind are the ones the next invoke
+/// observes.
+Trace backToBackSyncTrace() {
   Value K = Value::string("k");
   TraceBuilder TB;
   TB.fork(0, 1).fork(0, 2);
@@ -357,69 +176,75 @@ TEST(StreamPipelineTest, BackToBackSyncEventsYieldEmptyRuns) {
   TB.invoke(2, 7, "put", {K, Value::integer(2)}, Value::nil());
   TB.acquire(2, 1).release(2, 1);
   TB.join(0, 1).join(0, 2);
-  Trace T = TB.take();
-  size_t Syncs = 0;
-  for (const Event &E : T)
-    Syncs += E.isSync();
-
-  size_t Races = expectParallelMatchesReference(T, {1u, 2u}, {1, 3, 64});
-  EXPECT_GT(Races, 0u);
-
-  if (!metrics::Enabled)
-    return;
-  // The run accounting must see every sync and record the empty runs.
-  std::unique_ptr<StreamPipeline> P;
-  PipelineOptions Opts;
-  Opts.TheBackend = Backend::Parallel;
-  Opts.Shards = 2;
-  Opts.BatchSize = 64;
-  runBinary(T, Opts, P);
-  ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
-  EXPECT_EQ(M.SyncEvents, Syncs);
-  EXPECT_EQ(M.PrepassEventsVisited, Syncs);
-  // With every event in one batch, each sync opens a run and the batch
-  // adds the trailing one; the back-to-back stretch makes several empty.
-  EXPECT_EQ(M.Runs, Syncs + 1);
-  EXPECT_GT(M.RunLengthPow2[0], 0u) << "no zero-length run recorded";
+  return TB.take();
 }
 
-TEST(StreamPipelineTest, AllSyncTraceHasOnlyDegenerateRuns) {
-  // The degenerate extreme of the run-based pre-pass: a trace of nothing
-  // but synchronization. The caller thread visits every event, the shards
-  // receive none, and every recorded run has length zero.
+/// The degenerate extreme: nothing but synchronization, so every run is
+/// empty and the kernel never executes an action.
+Trace allSyncTrace() {
   TraceBuilder TB;
   TB.fork(0, 1);
   for (int I = 0; I != 9; ++I)
     TB.acquire(1, 0).release(1, 0);
   TB.join(0, 1);
-  Trace T = TB.take();
+  return TB.take();
+}
 
-  for (unsigned Shards : {1u, 2u}) {
-    for (size_t Batch : {size_t(1), size_t(4), size_t(64)}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << Shards << " batch=" << Batch);
-      std::unique_ptr<StreamPipeline> P;
-      PipelineOptions Opts;
-      Opts.TheBackend = Backend::Parallel;
-      Opts.Shards = Shards;
-      Opts.BatchSize = Batch;
-      StreamSummary S = runBinary(T, Opts, P, /*EventsPerChunk=*/5);
+/// Feeds \p T to StreamPipeline::processBatch in hand-cut batches of
+/// every size under test and expects the full race structs — both the
+/// pipeline's report and what its callback saw — to equal those of
+/// CommutativityRaceDetector::process() fed event by event. Returns the
+/// reference race count so callers can assert the trace was non-trivial.
+size_t expectBatchedMatchesPerEvent(const Trace &T) {
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  for (const Event &E : T)
+    Reference.process(E);
 
-      EXPECT_EQ(S.Events, T.size());
-      EXPECT_EQ(S.Races, 0u);
-      ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
-      EXPECT_EQ(M.Actions, 0u);
-      uint64_t Routed = 0;
-      for (const ParallelShardMetrics &SM : M.Shards)
-        Routed += SM.RoutedEvents;
-      EXPECT_EQ(Routed, 0u);
-      if (metrics::Enabled) {
-        EXPECT_EQ(M.SyncEvents, T.size());
-        EXPECT_EQ(M.PrepassEventsVisited, T.size());
-        EXPECT_EQ(M.RunLengthMax, 0u);
-      }
+  for (size_t Batch : {1, 2, 3, 4, 5, 17, 64}) {
+    SCOPED_TRACE(::testing::Message() << "batch=" << Batch);
+    StreamPipeline P({Backend::Sequential});
+    P.setDefaultProvider(&dictRep());
+    std::vector<CommutativityRace> Seen;
+    P.setRaceCallback(
+        [&Seen](const CommutativityRace &R) { Seen.push_back(R); });
+    EventBatch B;
+    for (size_t I = 0; I != T.size(); ++I) {
+      B.append(T[I]);
+      if (B.size() == Batch || I + 1 == T.size())
+        P.processBatch(B);
     }
+    P.finish();
+
+    EXPECT_EQ(P.eventsProcessed(), T.size());
+    expectRacesIdentical(P.races(), Reference.races());
+    expectRacesIdentical(Seen, Reference.races());
   }
+  return Reference.races().size();
+}
+
+} // namespace
+
+TEST(StreamPipelineTest, BatchedKernelMatchesPerEventAtSyncBatchEdges) {
+  EXPECT_GT(expectBatchedMatchesPerEvent(syncAtBatchEdgesTrace()), 0u)
+      << "boundary trace should race (put/put on k1, k2)";
+}
+
+TEST(StreamPipelineTest, BatchedKernelMatchesPerEventOnBackToBackSyncs) {
+  EXPECT_GT(expectBatchedMatchesPerEvent(backToBackSyncTrace()), 0u);
+}
+
+TEST(StreamPipelineTest, BatchedKernelMatchesPerEventOnAllSyncTrace) {
+  EXPECT_EQ(expectBatchedMatchesPerEvent(allSyncTrace()), 0u);
+}
+
+TEST(StreamPipelineTest, BatchedKernelMatchesPerEventOnRandomTraces) {
+  size_t Races = 0;
+  for (uint64_t Seed : {3u, 9u, 21u, 77u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << Seed);
+    Races += expectBatchedMatchesPerEvent(testgen::randomTrace(Seed, 4, 50, 6));
+  }
+  EXPECT_GT(Races, 0u) << "seeds produced no races; pick others";
 }
 
 //===----------------------------------------------------------------------===//

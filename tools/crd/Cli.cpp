@@ -11,6 +11,7 @@
 #include "detect/CommutativityDetector.h"
 #include "detect/FastTrack.h"
 #include "detect/Summary.h"
+#include "serve/Protocol.h"
 #include "spec/Builtins.h"
 #include "spec/SpecParser.h"
 #include "trace/TraceIO.h"
@@ -161,11 +162,9 @@ const char CheckHelp[] =
     "Exit code 0 = clean, 1 = findings or malformed trace, 2 = I/O error.\n"
     "\n"
     "options:\n"
-    "  --detector=seq|parallel|fasttrack|atomicity   backend (default seq)\n"
+    "  --detector=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE        ECL spec for action commutativity (default:\n"
     "                     builtin dictionary, paper Fig 6)\n"
-    "  --shards=N         parallel backend: worker shards (default: cores)\n"
-    "  --batch=N          parallel backend: events per batch (default 4096)\n"
     "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
     "                     content digests (default off; bare --memo = full).\n"
     "                     decode caches repeated chunk decodes; full also\n"
@@ -178,8 +177,7 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     Out << CheckHelp;
     return ExitClean;
   }
-  if (auto Bad = Args.unknownOption(
-          {"detector", "spec", "shards", "batch", "memo", "quiet"})) {
+  if (auto Bad = Args.unknownOption({"detector", "spec", "memo", "quiet"})) {
     Err << "error: unknown option --" << *Bad << "\n" << CheckHelp;
     return ExitUsage;
   }
@@ -190,33 +188,11 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
 
   wire::PipelineOptions Opts;
   std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    Opts.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    Opts.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "fasttrack")
-    Opts.TheBackend = wire::Backend::FastTrack;
-  else if (DetectorName == "atomicity")
-    Opts.TheBackend = wire::Backend::Atomicity;
-  else {
+  if (auto B = serve::parseBackendToken(DetectorName)) {
+    Opts.TheBackend = *B;
+  } else {
     Err << "error: unknown detector '" << DetectorName << "'\n" << CheckHelp;
     return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    Opts.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    Opts.BatchSize = static_cast<size_t>(*N);
   }
   if (!parseMemoMode(Args, Opts.Memo, Err))
     return ExitUsage;
@@ -256,7 +232,6 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   Out << "events: " << Summary.Events;
   switch (Opts.TheBackend) {
   case wire::Backend::Sequential:
-  case wire::Backend::Parallel:
     Out << "  commutativity races: " << Summary.Races << " ("
         << Summary.DistinctRacyObjects << " distinct objects)";
     break;
@@ -576,9 +551,9 @@ const char ProfileHelp[] =
     "Streams a trace through a detector backend and prints the\n"
     "observability snapshot as JSON: ingress event-kind counts, decode\n"
     "counters (binary traces), and per-backend detector counters — for\n"
-    "the parallel backend, per-shard loads, batches, ring occupancy,\n"
-    "stalls, and phase timings. Schema: docs/observability.md. Findings\n"
-    "are counted in the snapshot, not judged: a racy trace still exits 0.\n"
+    "the sequential backend, Algorithm 1 engine counters and the batched\n"
+    "kernel's time. Schema: docs/observability.md. Findings are counted\n"
+    "in the snapshot, not judged: a racy trace still exits 0.\n"
     "Exit code 1 = malformed trace, 2 = usage or I/O error.\n"
     "\n"
     "options (--opt=V and --opt V forms are both accepted):\n"
@@ -586,13 +561,9 @@ const char ProfileHelp[] =
     "                       not profiled here: a live session is driven by\n"
     "                       'crd record --stress' (ingest metrics via its\n"
     "                       --json flag); profile reads recorded traces\n"
-    "  --backend=seq|parallel|fasttrack|atomicity   backend (default seq)\n"
+    "  --backend=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
-    "  --batch=N            parallel backend: events per batch (default 4096)\n"
-    "  --chrome-trace=FILE  parallel backend: also write a chrome://tracing\n"
-    "                       timeline of per-shard batch lifetimes to FILE\n"
     "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
     "                       content digests (default off; bare --memo =\n"
     "                       full). The snapshot's \"memo\" and \"source\"\n"
@@ -600,16 +571,14 @@ const char ProfileHelp[] =
 
 int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
                std::ostream &Err) {
-  ParsedArgs Args(joinValueOptions(
-      Raw, {"--source", "--backend", "--spec", "--shards", "--batch",
-            "--chrome-trace"}));
+  ParsedArgs Args(
+      joinValueOptions(Raw, {"--source", "--backend", "--spec"}));
 
   if (Args.Help) {
     Out << ProfileHelp;
     return ExitClean;
   }
-  if (auto Bad = Args.unknownOption({"source", "backend", "spec", "shards",
-                                     "batch", "chrome-trace", "memo"})) {
+  if (auto Bad = Args.unknownOption({"source", "backend", "spec", "memo"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ProfileHelp;
     return ExitUsage;
   }
@@ -639,42 +608,14 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
 
   wire::PipelineOptions Opts;
   std::string BackendName = Args.option("backend").value_or("seq");
-  if (BackendName == "seq")
-    Opts.TheBackend = wire::Backend::Sequential;
-  else if (BackendName == "parallel")
-    Opts.TheBackend = wire::Backend::Parallel;
-  else if (BackendName == "fasttrack")
-    Opts.TheBackend = wire::Backend::FastTrack;
-  else if (BackendName == "atomicity")
-    Opts.TheBackend = wire::Backend::Atomicity;
-  else {
+  if (auto B = serve::parseBackendToken(BackendName)) {
+    Opts.TheBackend = *B;
+  } else {
     Err << "error: unknown backend '" << BackendName << "'\n" << ProfileHelp;
     return ExitUsage;
   }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    Opts.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    Opts.BatchSize = static_cast<size_t>(*N);
-  }
   if (!parseMemoMode(Args, Opts.Memo, Err))
     return ExitUsage;
-  std::string ChromePath = Args.option("chrome-trace").value_or("");
-  if (!ChromePath.empty() && Opts.TheBackend != wire::Backend::Parallel) {
-    Err << "error: --chrome-trace requires --backend=parallel\n";
-    return ExitUsage;
-  }
-  Opts.TraceBatches = !ChromePath.empty();
 
   if (!metrics::Enabled)
     Err << "warning: this build has CRD_METRICS=OFF; instrumented counters "
@@ -705,38 +646,6 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
   }
 
   Pipeline.writeMetricsJson(Out, Source.get());
-
-  if (!ChromePath.empty()) {
-    std::ofstream TraceFile(ChromePath);
-    if (!TraceFile) {
-      Err << "error: cannot write chrome trace file '" << ChromePath << "'\n";
-      return ExitUsage;
-    }
-    ParallelMetrics M = Pipeline.parallelDetector()->metricsSnapshot();
-    // Annotate the timeline with the decode-cache counters when --memo is
-    // active (the parallel backend degrades full to decode-level caching).
-    ChromeTraceAnnotation MemoNote;
-    const ChromeTraceAnnotation *Note = nullptr;
-    if (Opts.Memo != wire::MemoMode::Off) {
-      if (const wire::WireReader *Reader = Source->wireReader()) {
-        wire::WireReaderStats S = Reader->stats();
-        MemoNote.Name = "memo";
-        MemoNote.Args = {{"memo_hits", S.MemoHits},
-                         {"memo_misses", S.MemoMisses},
-                         {"memo_bytes_saved", S.MemoBytesSaved},
-                         {"memo_cache_entries", S.MemoCacheEntries},
-                         {"memo_cache_bytes", S.MemoCacheBytes}};
-        Note = &MemoNote;
-      }
-    }
-    writeChromeTrace(TraceFile, M, Note);
-    if (!TraceFile) {
-      Err << "error: I/O error writing '" << ChromePath << "'\n";
-      return ExitUsage;
-    }
-    Err << "wrote " << ChromePath << ": " << M.Spans.size()
-        << " batch spans\n";
-  }
   return ExitClean;
 }
 
@@ -896,7 +805,7 @@ const char DriverHelp[] =
     "  check     stream a trace through a race/atomicity detector\n"
     "  stats     chunk / size / compression report for a trace file\n"
     "  bench     ingestion throughput: text parse vs binary decode\n"
-    "  profile   metrics snapshot (JSON) + optional Chrome trace for a run\n"
+    "  profile   metrics snapshot (JSON) for a run\n"
     "  record    live multi-producer recording stress into live detection\n"
     "  serve     multi-tenant detection daemon over sockets (and client)\n"
     "  analyze   full offline report (races, triage, atomicity)\n"

@@ -56,9 +56,8 @@ const char RecordHelp[] =
     "                       power of two (default 1024)\n"
     "  --policy=block|drop  backpressure: block = lossless, drop =\n"
     "                       DropNewest with counted drops (default block)\n"
-    "  --detector=seq|parallel|none   live backend (default seq; none =\n"
-    "                       drain without detection)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
+    "  --detector=seq|none  live backend (default seq; none = drain\n"
+    "                       without detection)\n"
     "  --batch=N            events per collector batch (default 4096)\n"
     "  --objects=N          shared objects all producers touch (default 8;\n"
     "                       0 = one private object per producer, race-free)\n"
@@ -155,16 +154,16 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
                                   std::ostream &Out, std::ostream &Err) {
   ParsedArgs Args(joinValueOptions(
       Raw, {"--producers", "--events", "--ring", "--policy", "--detector",
-            "--shards", "--batch", "--objects", "--keys", "--lock-every",
-            "--out", "--chrome-trace"}));
+            "--batch", "--objects", "--keys", "--lock-every", "--out",
+            "--chrome-trace"}));
   if (Args.Help) {
     Out << RecordHelp;
     return ExitClean;
   }
   if (auto Bad = Args.unknownOption(
           {"stress", "producers", "events", "ring", "policy", "detector",
-           "shards", "batch", "objects", "keys", "lock-every", "out",
-           "verify-replay", "json", "chrome-trace"})) {
+           "batch", "objects", "keys", "lock-every", "out", "verify-replay",
+           "json", "chrome-trace"})) {
     Err << "error: unknown option --" << *Bad << "\n" << RecordHelp;
     return ExitUsage;
   }
@@ -221,28 +220,13 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
     return ExitUsage;
   }
 
-  wire::PipelineOptions POpts;
-  bool Detect = true;
   std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    POpts.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    POpts.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "none")
-    Detect = false;
-  else {
+  if (DetectorName != "seq" && DetectorName != "none") {
     Err << "error: unknown detector '" << DetectorName
-        << "' (seq, parallel, or none)\n";
+        << "' (seq or none)\n";
     return ExitUsage;
   }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    POpts.Shards = static_cast<unsigned>(*N);
-  }
+  bool Detect = DetectorName == "seq";
   size_t Batch = 4096;
   if (auto B = Args.option("batch")) {
     auto N = parseCount(*B);
@@ -252,7 +236,6 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
     }
     Batch = static_cast<size_t>(*N);
   }
-  POpts.BatchSize = Batch;
 
   std::string OutPath = Args.option("out").value_or("");
   bool VerifyReplay = Args.option("verify-replay").has_value();
@@ -260,7 +243,7 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
     return rejectUnsupported(
         Err, "record", "--verify-replay with --detector=none",
         "replay verification compares the recorded stream against live "
-        "findings; run with --detector=seq or --detector=parallel");
+        "findings; run with --detector=seq");
   std::string ChromePath = Args.option("chrome-trace").value_or("");
 
   // Pre-intern the method symbols so producer threads never contend on
@@ -277,7 +260,7 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
 
   std::optional<wire::StreamPipeline> Pipeline;
   if (Detect) {
-    Pipeline.emplace(POpts);
+    Pipeline.emplace();
     Pipeline->setDefaultProvider(Rep.get());
   }
   // The wire sink encodes into memory; --out persists the bytes and
@@ -386,7 +369,7 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
     std::istringstream In(WireBuf.str());
     DiagnosticEngine Diags;
     wire::BinaryStreamSource Src(In, Diags);
-    wire::StreamPipeline Replayed(POpts);
+    wire::StreamPipeline Replayed;
     Replayed.setDefaultProvider(Rep.get());
     wire::StreamSummary Sum = Replayed.run(Src);
     if (Src.failed()) {

@@ -83,10 +83,7 @@ const char ServeHelp[] =
     "                       identical across every session\n"
     "  --sessions=N         concurrent stress sessions per wave (default 8)\n"
     "  --waves=N            sequential stress waves (default 1)\n"
-    "  --detector=seq|parallel|fasttrack|atomicity   session backend\n"
-    "                       (default seq)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
-    "  --batch=N            parallel backend: events per batch (default 4096)\n"
+    "  --detector=seq|fasttrack|atomicity   session backend (default seq)\n"
     "  --memo[=off|decode|full]   chunk memoization for traces with\n"
     "                       content digests (default off; bare --memo = full)\n"
     "  --json               print the raw reply lines instead of check-\n"
@@ -439,8 +436,7 @@ int renderCheckStyle(const std::string &Reply, wire::Backend Backend,
       uint64_t Events = jsonUintField(Line, "events").value_or(0);
       Out << "events: " << Events;
       switch (Backend) {
-      case wire::Backend::Sequential:
-      case wire::Backend::Parallel: {
+      case wire::Backend::Sequential: {
         uint64_t Races = jsonUintField(Line, "races").value_or(0);
         Out << "  commutativity races: " << Races << " ("
             << jsonUintField(Line, "distinct_racy_objects").value_or(0)
@@ -535,33 +531,11 @@ int runClient(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
 
   serve::Handshake H;
   std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    H.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    H.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "fasttrack")
-    H.TheBackend = wire::Backend::FastTrack;
-  else if (DetectorName == "atomicity")
-    H.TheBackend = wire::Backend::Atomicity;
-  else {
+  if (auto B = serve::parseBackendToken(DetectorName)) {
+    H.TheBackend = *B;
+  } else {
     Err << "error: unknown detector '" << DetectorName << "'\n";
     return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    H.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    H.BatchSize = static_cast<size_t>(*N);
   }
   if (!parseMemoMode(Args, H.Memo, Err))
     return ExitUsage;
@@ -659,7 +633,7 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
       Raw, {"--socket", "--tcp", "--workers", "--idle-timeout",
             "--max-sessions", "--buffer-cap", "--session-cap", "--policy",
             "--spec", "--chrome-trace", "--connect", "--trace", "--detector",
-            "--shards", "--batch", "--sessions", "--waves"}));
+            "--sessions", "--waves"}));
   if (Args.Help) {
     Out << ServeHelp;
     return ExitClean;
@@ -667,8 +641,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
   if (auto Bad = Args.unknownOption(
           {"socket", "tcp", "workers", "idle-timeout", "max-sessions",
            "buffer-cap", "session-cap", "policy", "spec", "chrome-trace",
-           "connect", "trace", "detector", "shards", "batch", "memo", "json",
-           "status", "stress", "sessions", "waves"})) {
+           "connect", "trace", "detector", "memo", "json", "status",
+           "stress", "sessions", "waves"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ServeHelp;
     return ExitUsage;
   }
@@ -684,8 +658,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
       "socket", "tcp",         "workers",     "idle-timeout", "max-sessions",
       "buffer-cap", "session-cap", "policy", "spec",         "chrome-trace"};
   static const char *const ClientOnly[] = {
-      "trace", "detector", "shards", "batch",    "memo",
-      "json",  "status",   "stress", "sessions", "waves"};
+      "trace", "detector", "memo",     "json",
+      "status", "stress",  "sessions", "waves"};
   if (IsClient) {
     for (const char *Name : DaemonOnly)
       if (Args.option(Name))
