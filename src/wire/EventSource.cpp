@@ -41,8 +41,12 @@ public:
       : In(std::move(In)), Source(this->In, Diags) {}
 
   bool next(Event &E) override { return Source.next(E); }
+  size_t nextBatch(EventBatch &B, size_t MaxEvents) override {
+    return Source.nextBatch(B, MaxEvents);
+  }
   bool failed() const override { return Source.failed(); }
   const WireReader *wireReader() const override { return Source.wireReader(); }
+  WireReader *memoReader() override { return Source.memoReader(); }
 
 private:
   std::ifstream In;

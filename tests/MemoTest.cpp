@@ -9,8 +9,9 @@
 /// the content digest"): digests are stable across writer runs, races are
 /// bit-identical under every --memo mode, a corrupted digest fails like a
 /// corrupted CRC, sync churn forces 100% fallback without changing the
-/// report, legacy digest-less files still decode, and the crd CLI
-/// validates --memo end to end.
+/// report, legacy digest-less files still decode, a repetitive trace
+/// keeps pinned race and memo counts, and the crd CLI validates --memo
+/// and engages both memo layers on a trace file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +86,17 @@ std::optional<WireFileInfo> scanString(const std::string &Wire) {
   std::istringstream In(Wire);
   DiagnosticEngine Diags;
   return scanWire(In, Diags);
+}
+
+/// The value of the counter \p Key in a crd profile snapshot; every key
+/// read here occurs once in the document.
+uint64_t snapshotCounter(const std::string &Json, const std::string &Key) {
+  std::string Needle = "\"" + Key + "\": ";
+  size_t At = Json.find(Needle);
+  EXPECT_NE(At, std::string::npos) << Key << " missing from " << Json;
+  return At == std::string::npos
+             ? 0
+             : std::stoull(Json.substr(At + Needle.size()));
 }
 
 } // namespace
@@ -259,6 +271,39 @@ TEST(MemoTest, LegacyDigestlessFileStillWorks) {
   EXPECT_GT(Full.Memo.ChunksInterpreted, 0u);
 }
 
+// Pinned counts on a 16-body x 24-repetition trace (385 chunks: the
+// prelude plus 384 body chunks): the same 752 races in every mode, the
+// decode cache serving every body chunk after its first occurrence, and
+// summaries replaying every body chunk after its second (the verified
+// repeat that records the summary).
+TEST(MemoTest, RepetitiveTraceCountsPinned) {
+  RepetitiveTraceConfig C;
+  C.DistinctBodies = 16;
+  C.Repetitions = 24;
+  size_t Events = 0;
+  std::string Wire = repetitiveWire(C, &Events);
+  ASSERT_EQ(Events, 1576960u);
+
+  AnalyzeResult Off = analyzeWire(Wire, PipelineOptions{});
+  EXPECT_EQ(Off.Summary.Races, 752u);
+  EXPECT_EQ(Off.Reader.MemoHits, 0u);
+  for (MemoMode Memo : {MemoMode::Decode, MemoMode::Full}) {
+    PipelineOptions Opts;
+    Opts.Memo = Memo;
+    AnalyzeResult R = analyzeWire(Wire, Opts);
+    SCOPED_TRACE(testing::Message() << "memo=" << int(Memo));
+    EXPECT_EQ(R.Summary.Events, Events);
+    EXPECT_TRUE(R.Races == Off.Races);
+    EXPECT_EQ(R.Reader.MemoHits, 368u);
+    if (Memo == MemoMode::Full) {
+      EXPECT_EQ(R.Memo.SummaryHits, 352u);
+      EXPECT_EQ(R.Memo.EventsReplayed, 1441792u);
+      EXPECT_EQ(R.Memo.ChunksInterpreted, 33u);
+      EXPECT_EQ(R.Memo.SummaryFallbacks, 0u);
+    }
+  }
+}
+
 // CLI surface: --memo validation, the stats repetition line, profile's
 // memo JSON, and the live-source rejection naming the --memo constraint.
 TEST(MemoTest, CliMemoSurface) {
@@ -300,13 +345,27 @@ TEST(MemoTest, CliMemoSurface) {
     EXPECT_NE(Out.str().find("distinct digests"), std::string::npos);
   }
 
-  {
+  // A trace file must drive both memo layers, not just echo the mode:
+  // the decode cache hits under decode and full, summaries replay only
+  // under full.
+  for (std::string Mode : {"off", "decode", "full"}) {
     std::ostringstream Out, Err;
-    int RC = cli::crdMain({"profile", Path, "--memo=full"}, Out, Err);
+    int RC = cli::crdMain({"profile", Path, "--memo=" + Mode}, Out, Err);
+    SCOPED_TRACE(Mode);
     EXPECT_EQ(RC, 0) << Err.str();
-    EXPECT_NE(Out.str().find("\"mode\": \"full\""), std::string::npos)
-        << Out.str();
-    EXPECT_NE(Out.str().find("\"summary_hits\""), std::string::npos);
+    std::string Json = Out.str();
+    EXPECT_NE(Json.find("\"mode\": \"" + Mode + "\""), std::string::npos)
+        << Json;
+    uint64_t DecodeHits = snapshotCounter(Json, "memo_hits");
+    uint64_t SummaryHits = snapshotCounter(Json, "summary_hits");
+    if (Mode == "off")
+      EXPECT_EQ(DecodeHits, 0u);
+    else
+      EXPECT_GT(DecodeHits, 0u);
+    if (Mode == "full")
+      EXPECT_GT(SummaryHits, 0u);
+    else
+      EXPECT_EQ(SummaryHits, 0u);
   }
 
   {

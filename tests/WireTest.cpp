@@ -13,18 +13,25 @@
 ///     bad magic and unknown versions with a diagnostic, never a crash;
 ///   * scanWire reports the chunk shape without decoding events;
 ///   * WireSink records a live SimRuntime execution bit-equal to the
-///     TraceRecorder + writeTrace path.
+///     TraceRecorder + writeTrace path;
+///   * the paper's H2 circuit reports the same pinned races through the
+///     binary stream and through text parsing.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "detect/CommutativityDetector.h"
 #include "runtime/InstrumentedMap.h"
 #include "runtime/SimRuntime.h"
 #include "runtime/Sink.h"
+#include "spec/Builtins.h"
 #include "trace/TraceIO.h"
+#include "translate/Translator.h"
 #include "wire/EventSource.h"
+#include "wire/StreamPipeline.h"
 #include "wire/Varint.h"
 #include "wire/WireReader.h"
 #include "wire/WireWriter.h"
+#include "workloads/PolePosition.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -390,6 +397,47 @@ TEST(EventSourceTest, WireSinkMatchesRecorder) {
   ASSERT_EQ(Decoded.size(), Recorder.trace().size());
   for (size_t I = 0; I != Decoded.size(); ++I)
     expectEventEq(Recorder.trace()[I], Decoded[I], I);
+}
+
+// The H2 ComplexConcurrency circuit (4 workers x 1000 queries, runtime and
+// circuit seeds 2014) has pinned findings: 2,657 races on 3 objects, the
+// same through the binary stream + StreamPipeline as through text parsing.
+TEST(EventSourceTest, H2RacesPinnedOnBinaryAndTextPaths) {
+  SimRuntime RT(/*Seed=*/2014);
+  MVStore Store(RT);
+  CircuitConfig Config;
+  Config.WorkerThreads = 4;
+  Config.QueriesPerWorker = 1000;
+  Config.Seed = 2014;
+  buildCircuit(Circuit::ComplexConcurrency, RT, Store, Config);
+  TraceRecorder Recorder;
+  RT.run(Recorder);
+  const Trace &T = Recorder.trace();
+  ASSERT_EQ(T.size(), 54289u);
+
+  DiagnosticEngine SpecDiags;
+  auto Rep = translateSpec(dictionarySpec(), SpecDiags);
+  ASSERT_TRUE(Rep) << SpecDiags.toString();
+
+  std::istringstream In(encode(T, DefaultEventsPerChunk));
+  DiagnosticEngine Diags;
+  BinaryStreamSource Source(In, Diags);
+  StreamPipeline P({Backend::Sequential});
+  P.setDefaultProvider(Rep.get());
+  StreamSummary S = P.run(Source);
+  EXPECT_FALSE(Source.failed()) << Diags.toString();
+  EXPECT_EQ(S.Events, T.size());
+  EXPECT_EQ(S.Races, 2657u);
+  EXPECT_EQ(S.DistinctRacyObjects, 3u);
+
+  DiagnosticEngine TextDiags;
+  auto Parsed = parseTrace(traceToString(T), TextDiags);
+  ASSERT_TRUE(Parsed) << TextDiags.toString();
+  CommutativityRaceDetector Det;
+  Det.setDefaultProvider(Rep.get());
+  Det.processTrace(*Parsed);
+  EXPECT_EQ(Det.distinctRacyObjects(), 3u);
+  EXPECT_TRUE(Det.races() == P.races());
 }
 
 //===----------------------------------------------------------------------===//
