@@ -10,8 +10,14 @@ Three classes of rot this catches:
 2. Stale CLI documentation: every `crd <verb>` invocation shown in a code
    span or fenced code block must name a verb that `crd --help` lists, and
    every `--flag` on such an invocation line must appear in that verb's
-   `crd <verb> --help` text. Docs promising options the tool dropped (or
-   never had) fail the build instead of misleading readers.
+   `crd <verb> --help` text. Where the help enumerates a flag's values
+   (`--flag=a|b` or `--flag[=a|b]`), every value the docs give that flag
+   (`--flag=a`, `--flag=a|b`) must be one of them. A fenced line ending in
+   `\` continues onto the next, so a flag on a continuation line is still
+   tied to its verb. Docs promising options or values the tool dropped (or
+   never had) fail the build instead of misleading readers. CHANGES.md is
+   exempt from the value check: its entries name removed values on
+   purpose.
 
 3. Undocumented metrics: every JSON field name the observability snapshot
    emits (the `W.field("...")` / `W.key("...")` calls in
@@ -46,7 +52,13 @@ METRIC_FIELD_RE = re.compile(r'W\.(?:field|fieldArray|key)\("([a-z0-9_]+)"')
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CRD_INVOCATION_RE = re.compile(r"\bcrd\s+([a-z][a-z0-9-]*)")
 FLAG_RE = re.compile(r"(--[a-zA-Z][\w-]*)")
+# A help line enumerating a flag's values: --flag=a|b or --flag[=a|b].
+HELP_VALUES_RE = re.compile(r"(--[a-zA-Z][\w-]*)\[?=([\w-]+(?:\|[\w-]+)+)")
+# A documented flag value, possibly an enumeration (table cells escape
+# the bar as \|).
+DOC_VALUE_RE = re.compile(r"(--[a-zA-Z][\w-]*)\[?=([\w.|\\-]+)")
 ALWAYS_OK_FLAGS = {"--help", "-h"}
+VALUE_CHECK_EXEMPT = {"CHANGES.md"}
 
 
 def run_help(crd, *args):
@@ -85,31 +97,55 @@ def check_links(page, text, repo_root, problems):
                 )
 
 
+def help_values(help_text):
+    """Maps each flag whose values the help enumerates to that value set."""
+    values = {}
+    for flag, alts in HELP_VALUES_RE.findall(help_text):
+        values.setdefault(flag, set()).update(alts.split("|"))
+    return values
+
+
 def code_lines(text):
-    """Yields (lineno, code) for fenced-block lines and inline code spans."""
+    """Yields (marks, code) for fenced-block lines and inline code spans;
+    marks lists (offset, page line) pairs for line_at(). Backslash-
+    continued fenced lines are joined into one command first."""
     fence = False
+    pending, marks = "", []
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("```"):
+        if line.strip().startswith("```"):
             fence = not fence
             continue
-        if fence:
-            yield lineno, line
-        else:
+        if not fence:
             for span in INLINE_CODE_RE.findall(line):
-                yield lineno, span
+                yield [(0, lineno)], span
+            continue
+        marks.append((len(pending), lineno))
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
+            continue
+        yield marks, pending + line
+        pending, marks = "", []
+
+
+def line_at(marks, pos):
+    """The page line holding position pos of a code_lines() span."""
+    return max(lineno for offset, lineno in marks if offset <= pos)
 
 
 def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
                          problems):
-    for lineno, code in code_lines(text):
+    """Returns how many documented flag values were checked."""
+    where = page.relative_to(repo_root)
+    check_values = page.name not in VALUE_CHECK_EXEMPT
+    checked = 0
+    for marks, code in code_lines(text):
         for m in CRD_INVOCATION_RE.finditer(code):
             verb = m.group(1)
             if verb == "help":
                 continue
             if verb not in verbs:
                 problems.append(
-                    f"{page.relative_to(repo_root)}:{lineno}: documented "
+                    f"{where}:{line_at(marks, m.start())}: documented "
                     f"verb 'crd {verb}' is not listed by 'crd --help'"
                 )
                 continue
@@ -120,15 +156,35 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
             nxt = CRD_INVOCATION_RE.search(rest)
             if nxt:
                 rest = rest[: nxt.start()]
-            for flag in FLAG_RE.findall(rest):
+            for f in FLAG_RE.finditer(rest):
+                flag = f.group(1)
                 if flag in ALWAYS_OK_FLAGS:
                     continue
                 if flag not in verb_help[verb]:
                     problems.append(
-                        f"{page.relative_to(repo_root)}:{lineno}: "
+                        f"{where}:{line_at(marks, m.end() + f.start())}: "
                         f"documented option '{flag}' is not in "
                         f"'crd {verb} --help'"
                     )
+            if not check_values:
+                continue
+            accepted = help_values(verb_help[verb])
+            for v in DOC_VALUE_RE.finditer(rest):
+                flag = v.group(1)
+                if flag not in accepted:
+                    continue
+                for alt in v.group(2).replace("\\|", "|").split("|"):
+                    if not alt:
+                        continue
+                    checked += 1
+                    if alt not in accepted[flag]:
+                        problems.append(
+                            f"{where}:{line_at(marks, m.end() + v.start())}: "
+                            f"crd {verb} {flag}={alt}: value not in "
+                            f"'crd {verb} --help' "
+                            f"({'|'.join(sorted(accepted[flag]))})"
+                        )
+    return checked
 
 
 # Each snapshot writer and the reference page that must document every
@@ -184,18 +240,20 @@ def main():
 
     problems = []
     verb_help = {}
+    values_checked = 0
     for page in pages:
         text = page.read_text(encoding="utf-8")
         check_links(page, text, repo_root, problems)
-        check_cli_references(page, text, repo_root, verbs, verb_help, crd,
-                             problems)
+        values_checked += check_cli_references(
+            page, text, repo_root, verbs, verb_help, crd, problems
+        )
     check_metric_fields(repo_root, problems)
 
     for problem in problems:
         print(problem, file=sys.stderr)
     print(
         f"check_docs: {len(pages)} pages, {len(verbs)} crd verbs, "
-        f"{len(problems)} problems"
+        f"{values_checked} values checked, {len(problems)} problems"
     )
     return 1 if problems else 0
 

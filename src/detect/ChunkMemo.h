@@ -7,7 +7,7 @@
 /// \file
 /// Chunk transformers for memoized detection. A compressed trace that
 /// repeats itself decodes to byte-identical chunks; the wire layer already
-/// recognizes those by content digest (WireReader's decode cache). This
+/// recognizes those by content digest (WireReader's payload store). This
 /// layer goes one step further: for a *sync-free* chunk whose interpretation
 /// turned out to be a detector-state no-op, it records the chunk's entire
 /// observable effect — the races it reported (keyed by event index relative
@@ -96,7 +96,7 @@ struct ChunkSummary {
 };
 
 /// Digest-keyed summary table. Keys are chunk content digests whose
-/// payloads the wire layer pinned in its decode cache (insert-only, no
+/// payloads the wire layer pinned in its payload store (insert-only, no
 /// eviction), so a key can never silently change meaning. insert()
 /// overwrites: a version-mismatch fallback re-records the summary against
 /// the new entry state.

@@ -57,8 +57,6 @@ const char *serve::memoToken(wire::MemoMode M) {
   switch (M) {
   case wire::MemoMode::Off:
     return "off";
-  case wire::MemoMode::Decode:
-    return "decode";
   case wire::MemoMode::Full:
     return "full";
   }
@@ -95,8 +93,6 @@ bool serve::parseHandshake(std::string_view Line, Handshake &H,
     } else if (Key == "memo") {
       if (Val == "off")
         H.Memo = wire::MemoMode::Off;
-      else if (Val == "decode")
-        H.Memo = wire::MemoMode::Decode;
       else if (Val == "full")
         H.Memo = wire::MemoMode::Full;
       else {

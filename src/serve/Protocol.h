@@ -72,7 +72,7 @@ struct Handshake {
 };
 
 /// Parses `crd-serve/1 [status] [detector=seq|fasttrack|atomicity]
-/// [memo=off|decode|full]` (tokens space-separated, any order after the
+/// [memo=off|full]` (tokens space-separated, any order after the
 /// tag, \p Line without the trailing newline). Returns false with a
 /// one-line reason in \p Error on any unknown token or value — a strict
 /// grammar keeps version skew loud.

@@ -310,7 +310,6 @@ void Server::closeConn(size_t Index) {
       ++Totals.SessionsFailed;
     Totals.EventsTotal += S.Events;
     Totals.RacesTotal += S.Races;
-    Totals.DroppedChunksTotal += S.DroppedChunks;
     Live.erase(C.Sess->id());
   }
   int Fd = C.Fd;
@@ -470,7 +469,6 @@ ServeMetrics Server::metricsSnapshot() {
     SessionMetricsSnapshot S = Entry.second->metricsSnapshot();
     M.EventsTotal += S.Events;
     M.RacesTotal += S.Races;
-    M.DroppedChunksTotal += S.DroppedChunks;
     M.Sessions.push_back(S);
   }
   return M;
@@ -494,7 +492,6 @@ void Server::writeStatusJson(std::ostream &OS) {
   W.field("bytes_out", M.BytesOut);
   W.field("events_total", M.EventsTotal);
   W.field("races_total", M.RacesTotal);
-  W.field("dropped_chunks_total", M.DroppedChunksTotal);
   W.key("sessions");
   W.beginArray();
   for (const SessionMetricsSnapshot &S : M.Sessions) {
@@ -508,8 +505,6 @@ void Server::writeStatusJson(std::ostream &OS) {
     W.field("bytes_in", S.BytesIn);
     W.field("buffered_bytes", S.BufferedBytes);
     W.field("footprint_bytes", S.FootprintBytes);
-    W.field("dropped_chunks", S.DroppedChunks);
-    W.field("dropped_bytes", S.DroppedBytes);
     W.field("objects_died", S.ObjectsDied);
     W.field("active_points", S.ActivePoints);
     W.field("pump_rounds", S.PumpRounds);

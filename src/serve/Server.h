@@ -71,7 +71,6 @@ struct ServeMetrics {
   uint64_t BytesOut = 0;
   uint64_t EventsTotal = 0; ///< Closed + live sessions.
   uint64_t RacesTotal = 0;
-  uint64_t DroppedChunksTotal = 0;
   std::vector<SessionMetricsSnapshot> Sessions; ///< Live sessions only.
 };
 

@@ -92,8 +92,6 @@ bool Session::done() const {
 }
 
 bool Session::readPaused() const {
-  if (Limits.Policy != ingest::BackpressurePolicy::Block)
-    return false;
   std::lock_guard<std::mutex> Lock(Mu);
   return RawIn.size() + WorkerBufferedBytes > Limits.MaxBufferedBytes;
 }
@@ -218,8 +216,6 @@ void Session::runWork() {
       S.ActivePoints = Seq->activePointCount();
   }
   S.FootprintBytes = footprintBytes();
-  S.DroppedChunks = DroppedChunks;
-  S.DroppedBytes = DroppedBytes;
   S.ObjectsDied = ObjectsDied;
   S.PumpRounds = PumpRounds;
   std::lock_guard<std::mutex> Lock(Mu);
@@ -372,7 +368,6 @@ bool Session::handleFrame(FrameType T, std::string_view Body) {
 bool Session::splitWireBytes(std::string_view Data) {
   WireBuf.append(Data.data(), Data.size());
   size_t Pos = 0;
-  bool Appended = false;
   while (true) {
     size_t Avail = WireBuf.size() - Pos;
     if (!SawFileHeader) {
@@ -409,26 +404,14 @@ bool Session::splitWireBytes(std::string_view Data) {
       // this session ever buffering toward the bogus length.
       Queue.append(WireBuf.data() + Pos, HeaderSize);
       Pos += HeaderSize;
-      Appended = true;
       break;
     }
     if (Avail < HeaderSize + PayloadSize)
       break;
-    if (Limits.Policy == ingest::BackpressurePolicy::DropNewest &&
-        Queue.pending() > Limits.MaxBufferedBytes) {
-      // Chunks are self-contained (per-chunk symbol tables, predictors
-      // reset), so dropping whole ones keeps the remainder decodable —
-      // the serve analogue of the ingest ring's DropNewest.
-      ++DroppedChunks;
-      DroppedBytes += HeaderSize + PayloadSize;
-    } else {
-      Queue.append(WireBuf.data() + Pos, HeaderSize + PayloadSize);
-      Appended = true;
-    }
+    Queue.append(WireBuf.data() + Pos, HeaderSize + PayloadSize);
     Pos += HeaderSize + PayloadSize;
   }
   WireBuf.erase(0, Pos);
-  (void)Appended;
   return St == State::Streaming;
 }
 
@@ -525,8 +508,6 @@ void Session::emitSummary() {
   Line += ",\"distinct_racy_vars\":" + std::to_string(Sum.DistinctRacyVars);
   Line += ",\"violations\":" + std::to_string(Sum.Violations);
   Line += ",\"objects_died\":" + std::to_string(ObjectsDied);
-  Line += ",\"dropped_chunks\":" + std::to_string(DroppedChunks);
-  Line += ",\"dropped_bytes\":" + std::to_string(DroppedBytes);
   Line += "}";
   emitLine(std::move(Line));
 }

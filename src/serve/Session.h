@@ -9,10 +9,10 @@
 /// (handshake → streaming → done), the inner wire framing that turns an
 /// arbitrarily sliced byte stream back into whole chunks, and the
 /// per-session decode + detection pipeline. Everything that used to be
-/// one-trace-per-process — the WireReader with its decode cache and spill
-/// arenas, the StreamPipeline with its detector state and memo table, the
-/// diagnostic engine — lives here, one instance per session, so N
-/// sessions detect N traces with zero shared mutable state (the one
+/// one-trace-per-process — the WireReader with its memo payload store and
+/// spill arenas, the StreamPipeline with its detector state and memo
+/// table, the diagnostic engine — lives here, one instance per session, so
+/// N sessions detect N traces with zero shared mutable state (the one
 /// deliberate exception is the process-wide symbol table, which is
 /// mutex-guarded, append-only and content-addressed: concurrent interning
 /// can reorder ids but never change what a symbol spells, so it cannot
@@ -30,7 +30,6 @@
 #ifndef CRD_SERVE_SESSION_H
 #define CRD_SERVE_SESSION_H
 
-#include "ingest/Recorder.h"
 #include "serve/Protocol.h"
 #include "support/Diagnostics.h"
 #include "wire/EventSource.h"
@@ -50,16 +49,13 @@ namespace serve {
 
 /// Per-session resource bounds (the daemon's limits table, docs/serve.md).
 struct SessionLimits {
-  /// Bound on buffered-but-unprocessed input bytes. Crossing it triggers
-  /// the backpressure policy: Block stops reading the socket (kernel flow
-  /// control pushes back to the client), DropNewest discards whole chunks
-  /// and counts them.
+  /// Bound on buffered-but-unprocessed input bytes. Crossing it stops
+  /// reading the socket (kernel flow control pushes back to the client).
   size_t MaxBufferedBytes = 8u << 20;
-  ingest::BackpressurePolicy Policy = ingest::BackpressurePolicy::Block;
   /// Ceiling on the session's resident footprint (buffers + decode arenas
-  /// + memo caches); 0 = unlimited. A session that exceeds it is killed
-  /// with an `error` line — client die notices ('D' frames) are the
-  /// cooperative way to stay under it.
+  /// + memo payload store); 0 = unlimited. A session that exceeds it is
+  /// killed with an `error` line — client die notices ('D' frames) are
+  /// the cooperative way to stay under it.
   size_t MaxSessionBytes = 0;
 };
 
@@ -74,8 +70,6 @@ struct SessionMetricsSnapshot {
   uint64_t BytesIn = 0;       ///< Raw socket bytes accepted.
   uint64_t BufferedBytes = 0; ///< Input accepted but not yet detected.
   uint64_t FootprintBytes = 0;
-  uint64_t DroppedChunks = 0; ///< DropNewest discards.
-  uint64_t DroppedBytes = 0;
   uint64_t ObjectsDied = 0;   ///< Die notices applied.
   uint64_t ActivePoints = 0;  ///< Live per-object detector state (seq).
   uint64_t PumpRounds = 0;
@@ -174,8 +168,8 @@ public:
   /// remaining output flushes.
   bool done() const;
 
-  /// Block policy: true while the input backlog is over the cap, i.e. the
-  /// server must stop polling this connection for reads.
+  /// True while the input backlog is over the cap, i.e. the server must
+  /// stop polling this connection for reads.
   bool readPaused() const;
 
   /// True once a `status` handshake arrived: the server (owner of the
@@ -255,8 +249,6 @@ private:
   bool SawFileHeader = false;
   uint8_t WireFlags = 0;
   uint64_t ObjectsDied = 0;
-  uint64_t DroppedChunks = 0;
-  uint64_t DroppedBytes = 0;
   uint64_t PumpRounds = 0;
   uint64_t RaceLines = 0;
   uint64_t ViolationLines = 0;

@@ -76,24 +76,6 @@ struct EventBatch {
     Events.push_back(std::move(E));
   }
 
-  /// Bulk-appends events [From, From+N) of \p Src, pinning invoke payloads
-  /// into this batch's arena and copying the kind bytes wholesale (the
-  /// memoized wire reader serves cached chunks through here).
-  void appendRange(const EventBatch &Src, size_t From, size_t N) {
-    size_t Base = Events.size();
-    Kinds.insert(Kinds.end(), Src.Kinds.begin() + From,
-                 Src.Kinds.begin() + From + N);
-    Events.reserve(Base + N);
-    for (size_t I = From; I != From + N; ++I) {
-      const Event &E = Src.Events[I];
-      if (E.kind() == EventKind::Invoke)
-        Events.push_back(
-            Event::invoke(E.thread(), E.action().copyInto(Values)));
-      else
-        Events.push_back(E);
-    }
-  }
-
   /// Resident footprint of this batch: vector capacities plus retained
   /// arena chunks. Stable across clear() (which frees nothing), so a
   /// serving session can budget its recycled batches against a memory

@@ -69,9 +69,9 @@ public:
   /// many wrappers deep the WireReader sits. Wrapper sources forward.
   virtual const WireReader *wireReader() const { return nullptr; }
 
-  /// Mutable access to the binary decoder for memoization control
-  /// (setMemoMode, the chunk handshake). Null for sources with no wire
-  /// reader — memo modes then degrade to plain streaming.
+  /// Mutable access to the binary decoder for the chunk-memo loop
+  /// (beginChunk/skipChunk) and resume(). Null for sources with no wire
+  /// reader — --memo=full then degrades to plain streaming.
   virtual WireReader *memoReader() { return nullptr; }
 };
 

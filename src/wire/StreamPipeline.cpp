@@ -35,8 +35,6 @@ const char *memoModeName(MemoMode M) {
   switch (M) {
   case MemoMode::Off:
     return "off";
-  case MemoMode::Decode:
-    return "decode";
   case MemoMode::Full:
     return "full";
   }
@@ -153,6 +151,11 @@ void StreamPipeline::tallyBatchKinds(const EventBatch &B) {
 }
 
 void StreamPipeline::processBatch(EventBatch &B) {
+  detectBatch(B);
+  B.clear();
+}
+
+void StreamPipeline::detectBatch(const EventBatch &B) {
   if (B.empty())
     return;
   Events += B.size();
@@ -171,15 +174,13 @@ void StreamPipeline::processBatch(EventBatch &B) {
     }
   }
   drainNewRaces();
-  B.clear();
 }
 
 void StreamPipeline::finish() { drainNewRaces(); }
 
 bool StreamPipeline::pumpChunk(WireReader &Reader) {
-  // Chunk-at-a-time: the reader stages each chunk (from its decode cache
-  // when the payload repeats), and verified-repeat chunks consult the
-  // summary table before any event is interpreted.
+  // Chunk-at-a-time: verified-repeat chunks consult the summary table
+  // before any of their events is decoded.
   std::optional<WireReader::ChunkView> View = Reader.beginChunk();
   if (!View)
     return false;
@@ -204,16 +205,11 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
   }
   EventBatch &B = PumpBatch;
   B.clear();
-  size_t N = Reader.finishChunkInto(B);
-  if (N == 0)
+  if (Reader.finishChunkInto(B) == 0)
     return true;
   CommutativityRaceDetector::MemoRecordToken Token = Seq->beginMemoRecord();
-  for (const Event &E : B.Events)
-    Seq->process(E);
+  detectBatch(B);
   ++MemoStats.ChunksInterpreted;
-  Events += N;
-  if (metrics::Enabled)
-    tallyBatchKinds(B);
   // Record (or re-record after a fallback) only for verified repeats:
   // a summary keyed by digest alone could be poisoned by a collision.
   // Sync-bearing chunks become sticky negative entries (never
@@ -224,31 +220,25 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
     const ChunkSummary *Existing = MemoTable.find(View->Digest);
     if (!Existing || Existing->Memoizable) {
       ChunkSummary &S = MemoTable.insert(View->Digest);
-      if (Seq->finishMemoRecord(Token, B, 0, N, S))
+      if (Seq->finishMemoRecord(Token, B, 0, B.size(), S))
         ++MemoStats.SummaryRecords;
       else if (std::none_of(B.Kinds.begin(), B.Kinds.end(),
                             [](uint8_t K) { return K < SyncKindBound; }))
         MemoTable.erase(View->Digest);
     }
   }
-  drainNewRaces();
   return true;
 }
 
 void StreamPipeline::pump(EventSource &Source) {
-  WireReader *Reader =
-      Opts.Memo != MemoMode::Off ? Source.memoReader() : nullptr;
-  if (Reader) {
-    // Decode-level caching helps every backend; the summary loop requires
-    // the sequential detector (chunk replay needs exclusive, in-order
-    // access to the full detector state).
-    Reader->setMemoMode(Opts.Memo == MemoMode::Full && Seq ? MemoMode::Full
-                                                           : MemoMode::Decode);
-    if (Opts.Memo == MemoMode::Full && Seq) {
-      while (pumpChunk(*Reader)) {
-      }
-      return;
+  // The summary loop needs the sequential detector (chunk replay needs
+  // exclusive, in-order access to the full detector state) and a wire
+  // source; every other combination takes the batched pull.
+  if (WireReader *Reader =
+          Opts.Memo == MemoMode::Full && Seq ? Source.memoReader() : nullptr) {
+    while (pumpChunk(*Reader)) {
     }
+    return;
   }
   // Batched pull: whole event batches flow from the source into
   // processBatch() — for the sequential backend, the detector's kinded

@@ -54,11 +54,11 @@ struct StreamSummary {
 /// Pipeline configuration.
 struct PipelineOptions {
   Backend TheBackend = Backend::Sequential;
-  /// Chunk memoization level for binary sources carrying content digests
-  /// (docs/trace-format.md). Decode enables the WireReader decode cache
-  /// (repeated chunk payloads skip varint/delta decode); Full additionally
-  /// memoizes detector chunk summaries (sequential backend only — other
-  /// backends degrade to Decode). Races are bit-identical in every mode.
+  /// Chunk memoization for binary sources carrying content digests
+  /// (docs/trace-format.md). Full memoizes detector chunk summaries and
+  /// replays a verified-repeat chunk without decoding it (sequential
+  /// backend only — other backends run as Off). Races are bit-identical
+  /// in both modes.
   MemoMode Memo = MemoMode::Off;
 };
 
@@ -103,8 +103,8 @@ public:
   void processBatch(EventBatch &B);
 
   /// Pulls \p Source dry, then finish()es. Returns the summary. With
-  /// PipelineOptions::Memo != Off and a binary source, drives the
-  /// memoized chunk loop (see pumpChunk()).
+  /// PipelineOptions::Memo == Full, the sequential backend and a binary
+  /// source, drives the memoized chunk loop (see pumpChunk()).
   StreamSummary run(EventSource &Source);
 
   /// Incremental counterpart of run(): pulls whatever \p Source can
@@ -113,8 +113,8 @@ public:
   /// serve session's byte queue after WireReader::resume()), just means
   /// "no more complete input yet". Unlike run() this neither finish()es
   /// nor summarizes: callers pump again as input arrives and call
-  /// finish() once the stream truly ends. Memo modes arm on the first
-  /// call, with the same backend rules as run(). run() itself is
+  /// finish() once the stream truly ends. The memo loop is chosen by the
+  /// same rule as in run(). run() itself is
   /// pump-until-dry + finish(), so batch shapes and race callback timing
   /// are identical on both paths.
   void pump(EventSource &Source);
@@ -131,7 +131,7 @@ public:
 
   /// Resident bytes of the recycled pull batch — the piece of pipeline
   /// footprint a serving session must budget alongside the decoder's
-  /// arenas and caches (EventBatch::memoryFootprint()).
+  /// arenas and memo store (EventBatch::memoryFootprint()).
   size_t batchFootprint() const { return PumpBatch.memoryFootprint(); }
 
   /// Hands any races not yet passed to the callbacks over; call once the
@@ -166,9 +166,13 @@ public:
 private:
   void drainNewRaces();
   void tallyBatchKinds(const EventBatch &B);
+  /// processBatch() without the final clear(): counts, detects and hands
+  /// the batch's races to the callbacks.
+  void detectBatch(const EventBatch &B);
   /// One step of the Full-memo chunk loop: replay a verified-repeat chunk
-  /// whose summary footprint matches, interpret + record otherwise.
-  /// Returns false when the reader has no staged chunk (end of stream).
+  /// whose summary footprint matches, decode + interpret + record
+  /// otherwise. Returns false when the reader has no further chunk (end
+  /// of stream).
   bool pumpChunk(WireReader &Reader);
 
   PipelineOptions Opts;

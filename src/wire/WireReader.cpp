@@ -10,7 +10,6 @@
 #include "wire/Crc32.h"
 #include "wire/Varint.h"
 
-#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -214,9 +213,10 @@ bool WireReader::loadChunk() {
   ChunkBase =
       FileOffset + (WithDigest ? DigestChunkHeaderSize : ChunkHeaderSize);
   bool CrcError = false;
-  uint64_t Digest = 0;
-  if (!readChunk(In, Diags, FileOffset, WithDigest, Digest, Payload, Failed,
-                 &CrcError)) {
+  Open = ChunkView();
+  Open.HasDigest = WithDigest;
+  if (!readChunk(In, Diags, FileOffset, WithDigest, Open.Digest, Payload,
+                 Failed, &CrcError)) {
     if (CrcError)
       CrcErrors.inc();
     return false;
@@ -245,9 +245,10 @@ bool WireReader::loadChunk() {
     return false;
   }
   EventsLeft = *Count;
+  Open.Events = static_cast<size_t>(*Count);
   Pos = R.offset();
-  if (WithDigest && !checkChunkDigest(Payload, Pos, Digest, ChunkBase, Diags,
-                                      Failed)) {
+  if (WithDigest && !checkChunkDigest(Payload, Pos, Open.Digest, ChunkBase,
+                                      Diags, Failed)) {
     DigestErrors.inc();
     return false;
   }
@@ -259,15 +260,6 @@ bool WireReader::loadChunk() {
 bool WireReader::next(Event &E) {
   if (Failed)
     return false;
-  if (Memo != MemoMode::Off) {
-    // Serve from the staged chunk (cache entry or cold-decoded batch).
-    while (!Staged || StagedPos == Staged->size())
-      if (!stageChunk())
-        return false;
-    E = Staged->Events[StagedPos++];
-    ++NumEvents;
-    return true;
-  }
   while (EventsLeft == 0) {
     if (!loadChunk())
       return false;
@@ -286,24 +278,6 @@ bool WireReader::next(Event &E) {
 }
 
 size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
-  if (Memo != MemoMode::Off) {
-    size_t Appended = 0;
-    while (Appended != MaxEvents) {
-      if (Failed)
-        break;
-      if (!Staged || StagedPos == Staged->size()) {
-        if (!stageChunk())
-          break;
-        continue;
-      }
-      size_t Take = std::min(MaxEvents - Appended, Staged->size() - StagedPos);
-      B.appendRange(*Staged, StagedPos, Take);
-      StagedPos += Take;
-      Appended += Take;
-      NumEvents += Take;
-    }
-    return Appended;
-  }
   size_t Decoded = 0;
   Event E = Event::txBegin(ThreadId(0)); // Overwritten by decodeEvent.
   while (Decoded != MaxEvents) {
@@ -331,128 +305,38 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
   return Decoded;
 }
 
-bool WireReader::stageChunk() {
-  OpenView = ChunkView{};
-  Staged = nullptr;
-  StagedPos = 0;
-  bool WithDigest = (Flags & FlagChunkDigests) != 0;
-  ChunkBase =
-      FileOffset + (WithDigest ? DigestChunkHeaderSize : ChunkHeaderSize);
-  bool CrcError = false;
-  uint64_t Digest = 0;
-  if (!readChunk(In, Diags, FileOffset, WithDigest, Digest, Payload, Failed,
-                 &CrcError)) {
-    if (CrcError)
-      CrcErrors.inc();
-    return false;
-  }
-  FileOffset += Payload.size();
-  OpenView.HasDigest = WithDigest;
-  OpenView.Digest = Digest;
-
-  if (WithDigest) {
-    auto It = Cache.find(Digest);
-    if (It != Cache.end() && It->second->Payload == Payload) {
-      // Byte-identical to an already validated, already decoded payload:
-      // skip prologue, digest check and event decode wholesale. The full
-      // compare (memcpy speed, an order of magnitude faster than decode)
-      // is also what makes 64-bit digest collisions harmless.
-      Staged = &It->second->Batch;
-      OpenView.VerifiedRepeat = true;
-      OpenView.Events = Staged->size();
-      ++NumChunks;
-      ++MemoHits;
-      MemoBytesSaved += Payload.size();
-      return true;
-    }
-  }
-
-  // Cold path: full validation + decode, like loadChunk, but events land
-  // in a staged self-contained batch (a new cache entry when cacheable).
-  Pos = 0;
-  PrevThread = 0;
-  PrevObject = 0;
-  PayloadBytes.add(Payload.size());
-  ByteReader R(reinterpret_cast<const uint8_t *>(Payload.data()),
-               Payload.size());
-  auto Count = R.varint();
-  if (!Count) {
-    fail("malformed chunk: bad event count");
-    return false;
-  }
-  if (!decodeSymbolTable(R, Syms)) {
-    fail("malformed chunk: bad symbol table");
-    return false;
-  }
-  Pos = R.offset();
-  if (WithDigest && !checkChunkDigest(Payload, Pos, Digest, ChunkBase, Diags,
-                                      Failed)) {
-    DigestErrors.inc();
-    return false;
-  }
-  SymbolCount.add(Syms.size());
-  ++NumChunks;
-  ++MemoMisses;
-
-  std::unique_ptr<CacheEntry> NewEntry;
-  EventBatch *Dst = &StagingBatch;
-  if (WithDigest && CacheBytes < MemoCacheMaxBytes && !Cache.count(Digest)) {
-    NewEntry = std::make_unique<CacheEntry>();
-    Dst = &NewEntry->Batch;
-  }
-  Dst->clear();
-
-  Event E = Event::txBegin(ThreadId(0)); // Overwritten by decodeEvent.
-  for (uint64_t Left = *Count; Left != 0; --Left) {
-    if (!decodeEvent(E, Dst->Values))
-      return false;
-    Dst->appendPinned(std::move(E));
-  }
-  if (Pos != Payload.size()) {
-    fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
-         " trailing payload bytes after last event");
-    return false;
-  }
-  OpenView.Events = Dst->size();
-  if (NewEntry) {
-    NewEntry->Payload = Payload;
-    // Entry footprint estimate: payload + event/kind vectors + pinned
-    // values. Good enough to bound the cache; exactness is not the point.
-    CacheBytes += NewEntry->Payload.size() +
-                  Dst->Events.size() * sizeof(Event) + Dst->Kinds.size() +
-                  Dst->Values.bytesUsed();
-    Staged = Dst;
-    Cache.emplace(Digest, std::move(NewEntry));
-  } else {
-    Staged = Dst;
-  }
-  return true;
-}
-
 std::optional<WireReader::ChunkView> WireReader::beginChunk() {
   if (Failed)
     return std::nullopt;
-  while (!Staged || StagedPos >= Staged->size())
-    if (!stageChunk())
+  while (EventsLeft == 0) {
+    if (!loadChunk())
       return std::nullopt;
-  return OpenView;
+    // Verify against the first payload stored under this digest, or
+    // store this one. A stored payload never changes, so a hit is a
+    // byte-identical repeat of a chunk this reader already validated.
+    if (Open.HasDigest) {
+      auto It = Store.find(Open.Digest);
+      if (It != Store.end()) {
+        Open.VerifiedRepeat = It->second == Payload;
+      } else if (StoreBytes < MemoStoreMaxBytes) {
+        StoreBytes += Payload.size();
+        Store.emplace(Open.Digest, Payload);
+      }
+    }
+    if (Open.VerifiedRepeat)
+      ++MemoHits;
+    else
+      ++MemoMisses;
+  }
+  return Open;
 }
 
 void WireReader::skipChunk() {
-  if (!Staged)
+  if (EventsLeft == 0)
     return;
-  NumEvents += Staged->size() - StagedPos;
-  StagedPos = Staged->size();
-}
-
-size_t WireReader::finishChunkInto(EventBatch &B) {
-  if (!Staged)
-    return 0;
-  size_t N = Staged->size() - StagedPos;
-  B.appendRange(*Staged, StagedPos, N);
-  StagedPos = Staged->size();
-  NumEvents += N;
-  return N;
+  NumEvents += EventsLeft;
+  EventsLeft = 0;
+  MemoBytesSaved += Payload.size();
 }
 
 bool WireReader::decodeEvent(Event &E, Arena &Values) {

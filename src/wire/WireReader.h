@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Streaming decoder for the chunked binary trace format (WireFormat.h).
-/// The reader holds exactly one chunk payload in memory at a time and
+/// The reader holds one chunk payload in memory at a time (plus, once the
+/// chunk API is in use, one stored payload per distinct digest) and
 /// decodes events on demand — a whole-file Trace is never materialized.
 /// Every structural problem (bad magic/version, truncated chunk, CRC
 /// mismatch, malformed varint, dangling symbol reference, ...) is reported
@@ -36,7 +37,6 @@
 #include "wire/WireFormat.h"
 
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -49,30 +49,29 @@ namespace wire {
 /// Chunks mirror eventsRead()/chunksRead() and stay live in every build;
 /// CrcErrors/DigestErrors/PayloadBytes/Symbols/ArenaPeakBytes read zero
 /// when CRD_METRICS=0, and the Memo* fields are always live (the memo
-/// bench bars and tests gate on them in every build). CrcErrors and
-/// DigestErrors are at most 1 per reader — the reader fails hard on the
-/// first mismatch of either kind.
+/// tests gate on them in every build). CrcErrors and DigestErrors are at
+/// most 1 per reader — the reader fails hard on the first mismatch of
+/// either kind.
 struct WireReaderStats {
   uint64_t Chunks = 0;
   uint64_t Events = 0;
   uint64_t CrcErrors = 0;
-  uint64_t DigestErrors = 0;    ///< Chunk-header digest mismatches.
-  uint64_t PayloadBytes = 0;    ///< Chunk payload bytes decoded (ex-headers).
-  uint64_t Symbols = 0;         ///< Symbol-table entries across all chunks.
-  uint64_t ArenaPeakBytes = 0;  ///< Peak per-chunk value-arena footprint.
-  uint64_t MemoHits = 0;        ///< Chunks served from the decode cache.
-  uint64_t MemoMisses = 0;      ///< Chunks cold-decoded while memoizing.
-  uint64_t MemoBytesSaved = 0;  ///< Payload bytes whose decode was skipped.
-  uint64_t MemoCacheEntries = 0;
-  uint64_t MemoCacheBytes = 0;  ///< Payload + decoded-batch bytes cached.
+  uint64_t DigestErrors = 0;     ///< Chunk-header digest mismatches.
+  uint64_t PayloadBytes = 0;     ///< Chunk payload bytes read (ex-headers).
+  uint64_t Symbols = 0;          ///< Symbol-table entries across all chunks.
+  uint64_t ArenaPeakBytes = 0;   ///< Peak per-chunk value-arena footprint.
+  uint64_t MemoHits = 0;         ///< beginChunk(): verified repeats.
+  uint64_t MemoMisses = 0;       ///< beginChunk(): all other chunks.
+  uint64_t MemoBytesSaved = 0;   ///< Payload bytes skipped undecoded.
+  uint64_t MemoCacheEntries = 0; ///< Payloads in the memo store.
+  uint64_t MemoCacheBytes = 0;   ///< Payload bytes in the memo store.
 };
 
-/// How aggressively the reader (and the pipeline above it) memoizes
-/// repeated chunks. Off = decode every chunk; Decode = digest-keyed decode
-/// cache (repeated payloads skip varint/delta decode); Full = Decode plus
-/// detector-level chunk summaries (StreamPipeline replays a sync-free
-/// chunk's race effects without materializing its events).
-enum class MemoMode { Off, Decode, Full };
+/// Whether the pipeline memoizes repeated chunks. Off = decode every
+/// chunk; Full = StreamPipeline drives the reader's chunk API and replays
+/// a verified-repeat, sync-free chunk's race effects from a detector
+/// summary without decoding its events (sequential backend only).
+enum class MemoMode { Off, Full };
 
 /// Pull-based decoder over a binary trace stream.
 class WireReader {
@@ -116,45 +115,43 @@ public:
   //===--------------------------------------------------------------------===//
   // Chunk memoization (docs/trace-format.md, docs/observability.md).
   //
-  // With a MemoMode other than Off the reader works chunk-at-a-time: each
-  // chunk is staged as a fully built EventBatch — decoded cold, or recycled
-  // from a digest-keyed cache when the payload is byte-identical to one
-  // already decoded (the full-payload compare makes 64-bit digest
-  // collisions harmless). next()/nextBatch() then serve from the staged
-  // batch, so a repeated chunk skips varint/delta decode entirely. Cache
-  // entries are never evicted (insertion stops at a byte cap), so a digest
-  // maps to one payload for the reader's lifetime — the invariant the
-  // detector's summary table builds on.
+  // The chunk API shows the caller each chunk before any of its events is
+  // decoded. beginChunk() loads and validates the next chunk exactly as
+  // next() would, then checks its payload against a digest-keyed store:
+  // a chunk byte-identical to the payload stored under its digest is a
+  // verified repeat (the full-payload compare makes 64-bit digest
+  // collisions harmless); any other chunk's payload is stored. The store
+  // never evicts (insertion stops at a byte cap), so a digest maps to one
+  // payload for the reader's lifetime — the invariant the detector's
+  // summary table builds on.
   //===--------------------------------------------------------------------===//
 
-  /// Must be set before the first next()/nextBatch() call.
-  void setMemoMode(MemoMode M) { Memo = M; }
-  MemoMode memoMode() const { return Memo; }
-
-  /// What beginChunk() reveals about the staged chunk before any event is
+  /// What beginChunk() reveals about the open chunk before any event is
   /// handed out — enough for a caller to decide replay-vs-interpret.
   struct ChunkView {
     uint64_t Digest = 0;    ///< Content digest (header-carried).
     bool HasDigest = false; ///< False for legacy digest-less chunks.
-    /// The payload is byte-identical to the cached payload under Digest —
-    /// i.e. this exact chunk was decoded before by this reader. Only a
+    /// The payload is byte-identical to the stored payload under Digest —
+    /// i.e. this exact chunk was read before by this reader. Only a
     /// verified repeat is safe to key detector summaries by.
     bool VerifiedRepeat = false;
     size_t Events = 0;      ///< Events in the chunk.
   };
 
-  /// Stages the next chunk and describes it (memo modes only). Repeated
-  /// calls without consuming return the same view. Returns nullopt at end
-  /// of stream or on a structural error.
+  /// Opens the next non-empty chunk and describes it. Repeated calls
+  /// without consuming return the same view. Returns nullopt at end of
+  /// stream or on a structural error.
   std::optional<ChunkView> beginChunk();
 
-  /// Discards the staged chunk's remaining events (the caller replayed
-  /// their effect from a summary instead of interpreting them).
+  /// Drops the open chunk's remaining events undecoded: the caller
+  /// replayed their effect from a summary of a verified repeat.
   void skipChunk();
 
-  /// Appends the staged chunk's remaining events to \p B (self-contained,
-  /// sync index maintained) and returns how many were appended.
-  size_t finishChunkInto(EventBatch &B);
+  /// Decodes the open chunk's remaining events into \p B (see nextBatch())
+  /// and returns how many were appended.
+  size_t finishChunkInto(EventBatch &B) {
+    return nextBatch(B, static_cast<size_t>(EventsLeft));
+  }
 
   /// Metrics snapshot; valid any time, complete once decoding finished.
   WireReaderStats stats() const {
@@ -171,21 +168,13 @@ public:
     S.MemoHits = MemoHits;
     S.MemoMisses = MemoMisses;
     S.MemoBytesSaved = MemoBytesSaved;
-    S.MemoCacheEntries = Cache.size();
-    S.MemoCacheBytes = CacheBytes;
+    S.MemoCacheEntries = Store.size();
+    S.MemoCacheBytes = StoreBytes;
     return S;
   }
 
 private:
-  /// One immortal decode-cache entry: the exact payload bytes (the hit
-  /// verifier) and the chunk decoded as a self-contained batch.
-  struct CacheEntry {
-    std::string Payload;
-    EventBatch Batch;
-  };
-
   bool loadChunk();
-  bool stageChunk();
   bool decodeEvent(Event &E, Arena &Values);
   void fail(std::string Message);
 
@@ -202,6 +191,7 @@ private:
   uint32_t PrevThread = 0;   ///< Thread delta predictor (resets per chunk).
   uint32_t PrevObject = 0;   ///< Object delta predictor (resets per chunk).
   uint8_t Flags = 0;         ///< File-header flags (digest layout bit).
+  ChunkView Open;            ///< Current chunk (beginChunk() marks repeats).
   size_t NumEvents = 0;
   size_t NumChunks = 0;
   bool Failed = false;
@@ -212,21 +202,13 @@ private:
   metrics::Counter SymbolCount;
   uint64_t ArenaPeak = 0;
 
-  /// Memoization state. Staged points at the cache entry's batch on a hit
-  /// or at StagingBatch after a cold decode; unique_ptr entries keep batch
-  /// addresses stable across rehash. Insertion stops once CacheBytes
-  /// crosses MemoCacheMaxBytes — never evict, so digest→payload→batch
-  /// stays immutable for the reader's lifetime.
-  static constexpr size_t MemoCacheMaxBytes = size_t(256) << 20;
-  MemoMode Memo = MemoMode::Off;
-  std::unordered_map<uint64_t, std::unique_ptr<CacheEntry>> Cache;
-  size_t CacheBytes = 0;
-  const EventBatch *Staged = nullptr;
-  size_t StagedPos = 0;
-  EventBatch StagingBatch;
-  ChunkView OpenView;
-  /// Memo counters: always live (bench bars and tests read them in
-  /// metrics-off builds).
+  /// beginChunk()'s payload store: digest -> the first payload seen
+  /// under it. Insert-only; insertion stops once StoreBytes crosses
+  /// MemoStoreMaxBytes.
+  static constexpr size_t MemoStoreMaxBytes = size_t(256) << 20;
+  std::unordered_map<uint64_t, std::string> Store;
+  size_t StoreBytes = 0;
+  /// Memo counters: always live (tests read them in metrics-off builds).
   uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;
   uint64_t MemoBytesSaved = 0;

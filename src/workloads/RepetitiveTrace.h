@@ -23,7 +23,8 @@
 /// churn between body rounds. Each release bumps its thread's clock, so
 /// every body occurrence sees fresh entry state: the adversarial shape
 /// that forces the detector-summary layer to fall back to full
-/// interpretation on 100% of chunks (the decode cache still hits).
+/// interpretation on 100% of chunks (the reader still verifies every
+/// repeat against its payload store).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 /// \file
 /// The chunk-memoization contract (docs/trace-format.md "Versioning and
 /// the content digest"): digests are stable across writer runs, races are
-/// bit-identical under every --memo mode, a corrupted digest fails like a
+/// bit-identical under both --memo modes, a corrupted digest fails like a
 /// corrupted CRC, sync churn forces 100% fallback without changing the
 /// report, legacy digest-less files still decode, a repetitive trace
 /// keeps pinned race and memo counts, and the crd CLI validates --memo
@@ -128,8 +128,8 @@ TEST(MemoTest, DigestStableAcrossWriterRuns) {
 }
 
 // Races must be bit-identical (full struct equality, clocks included)
-// across every memo mode; the layers that are supposed to engage must
-// actually engage.
+// across both memo modes; under full, repeat verification and summary
+// replay must actually engage.
 TEST(MemoTest, RacesBitIdenticalAcrossModes) {
   size_t Events = 0;
   std::string Wire = repetitiveWire(smallConfig(), &Events);
@@ -141,7 +141,7 @@ TEST(MemoTest, RacesBitIdenticalAcrossModes) {
   EXPECT_EQ(Baseline.Reader.MemoHits, 0u);
   EXPECT_EQ(Baseline.Reader.MemoCacheEntries, 0u);
 
-  for (MemoMode Memo : {MemoMode::Off, MemoMode::Decode, MemoMode::Full}) {
+  for (MemoMode Memo : {MemoMode::Off, MemoMode::Full}) {
     PipelineOptions Opts;
     Opts.Memo = Memo;
     AnalyzeResult R = analyzeWire(Wire, Opts);
@@ -151,20 +151,17 @@ TEST(MemoTest, RacesBitIdenticalAcrossModes) {
 
     if (Memo == MemoMode::Off) {
       EXPECT_EQ(R.Reader.MemoHits, 0u);
+      EXPECT_EQ(R.Memo.SummaryHits, 0u);
+      EXPECT_EQ(R.Memo.EventsReplayed, 0u);
     } else {
-      // The decode cache serves every repeated body chunk.
+      // Every repeated body chunk is verified against the payload store,
+      // and the replayed ones are skipped undecoded.
       EXPECT_GT(R.Reader.MemoHits, 0u);
       EXPECT_GT(R.Reader.MemoBytesSaved, 0u);
       EXPECT_GT(R.Reader.MemoCacheEntries, 0u);
-    }
-    if (Memo == MemoMode::Full) {
       EXPECT_GT(R.Memo.SummaryHits, 0u);
       EXPECT_GT(R.Memo.SummaryRecords, 0u);
       EXPECT_GT(R.Memo.EventsReplayed, 0u);
-    } else {
-      // Decode mode only caches decoded chunks; no summaries replay.
-      EXPECT_EQ(R.Memo.SummaryHits, 0u);
-      EXPECT_EQ(R.Memo.EventsReplayed, 0u);
     }
   }
 }
@@ -213,7 +210,7 @@ TEST(MemoTest, CorruptedDigestRejectedLikeCrc) {
 // worker clocks, so no body occurrence ever sees matching entry state.
 // The summary layer must fall back to interpretation on 100% of chunks
 // — zero replays, zero recorded summaries that survive — while the
-// decode cache still hits and the report stays bit-identical.
+// reader still verifies the repeats and the report stays bit-identical.
 TEST(MemoTest, SyncChurnForcesFullFallback) {
   RepetitiveTraceConfig C = smallConfig();
   C.SyncEveryBodies = 1;
@@ -231,7 +228,7 @@ TEST(MemoTest, SyncChurnForcesFullFallback) {
   EXPECT_EQ(Full.Memo.SummaryHits, 0u);
   EXPECT_EQ(Full.Memo.EventsReplayed, 0u);
   EXPECT_GT(Full.Memo.ChunksInterpreted, 0u);
-  EXPECT_GT(Full.Reader.MemoHits, 0u); // Decode cache is version-blind.
+  EXPECT_GT(Full.Reader.MemoHits, 0u); // Verification is version-blind.
 }
 
 // A digest-less (legacy) file must still decode with memoization
@@ -272,10 +269,11 @@ TEST(MemoTest, LegacyDigestlessFileStillWorks) {
 }
 
 // Pinned counts on a 16-body x 24-repetition trace (385 chunks: the
-// prelude plus 384 body chunks): the same 752 races in every mode, the
-// decode cache serving every body chunk after its first occurrence, and
-// summaries replaying every body chunk after its second (the verified
-// repeat that records the summary).
+// prelude plus 384 body chunks): the same 752 races in both modes, every
+// body chunk after its first occurrence verified as a repeat, summaries
+// replaying every body chunk after its second (the verified repeat that
+// records the summary), and a payload store holding each distinct chunk
+// exactly once.
 TEST(MemoTest, RepetitiveTraceCountsPinned) {
   RepetitiveTraceConfig C;
   C.DistinctBodies = 16;
@@ -287,21 +285,30 @@ TEST(MemoTest, RepetitiveTraceCountsPinned) {
   AnalyzeResult Off = analyzeWire(Wire, PipelineOptions{});
   EXPECT_EQ(Off.Summary.Races, 752u);
   EXPECT_EQ(Off.Reader.MemoHits, 0u);
-  for (MemoMode Memo : {MemoMode::Decode, MemoMode::Full}) {
-    PipelineOptions Opts;
-    Opts.Memo = Memo;
-    AnalyzeResult R = analyzeWire(Wire, Opts);
-    SCOPED_TRACE(testing::Message() << "memo=" << int(Memo));
-    EXPECT_EQ(R.Summary.Events, Events);
-    EXPECT_TRUE(R.Races == Off.Races);
-    EXPECT_EQ(R.Reader.MemoHits, 368u);
-    if (Memo == MemoMode::Full) {
-      EXPECT_EQ(R.Memo.SummaryHits, 352u);
-      EXPECT_EQ(R.Memo.EventsReplayed, 1441792u);
-      EXPECT_EQ(R.Memo.ChunksInterpreted, 33u);
-      EXPECT_EQ(R.Memo.SummaryFallbacks, 0u);
-    }
-  }
+  PipelineOptions FullOpts;
+  FullOpts.Memo = MemoMode::Full;
+  AnalyzeResult Full = analyzeWire(Wire, FullOpts);
+  EXPECT_EQ(Full.Summary.Events, Events);
+  EXPECT_TRUE(Full.Races == Off.Races);
+  EXPECT_EQ(Full.Reader.MemoHits, 368u);
+  EXPECT_EQ(Full.Memo.SummaryHits, 352u);
+  EXPECT_EQ(Full.Memo.EventsReplayed, 1441792u);
+  EXPECT_EQ(Full.Memo.ChunksInterpreted, 33u);
+  EXPECT_EQ(Full.Memo.SummaryFallbacks, 0u);
+
+  // The store pin is the sum of the distinct payload sizes scanWire sees.
+  auto Info = scanString(Wire);
+  ASSERT_TRUE(Info);
+  std::map<uint64_t, size_t> Distinct;
+  for (const WireChunkInfo &Ch : Info->Chunks)
+    Distinct[Ch.Digest] = Ch.PayloadBytes;
+  size_t DistinctBytes = 0;
+  for (const auto &KV : Distinct)
+    DistinctBytes += KV.second;
+  EXPECT_EQ(Distinct.size(), 17u);
+  EXPECT_EQ(DistinctBytes, 626947u);
+  EXPECT_EQ(Full.Reader.MemoCacheEntries, 17u);
+  EXPECT_EQ(Full.Reader.MemoCacheBytes, 626947u);
 }
 
 // CLI surface: --memo validation, the stats repetition line, profile's
@@ -314,18 +321,18 @@ TEST(MemoTest, CliMemoSurface) {
     writeRepetitiveTrace(OS, smallConfig());
   }
 
-  for (const char *Verb : {"check", "profile", "analyze", "bench"}) {
-    std::ostringstream Out, Err;
-    int RC = cli::crdMain({Verb, Path, "--memo=bogus"}, Out, Err);
-    SCOPED_TRACE(Verb);
-    EXPECT_EQ(RC, 2);
-    EXPECT_NE(Err.str().find("unknown --memo mode 'bogus'"),
-              std::string::npos)
-        << Err.str();
-    EXPECT_NE(Err.str().find("accepted: off, decode, full"),
-              std::string::npos)
-        << Err.str();
-  }
+  for (const char *Verb : {"check", "profile", "bench"})
+    for (std::string Mode : {"bogus", "decode"}) {
+      std::ostringstream Out, Err;
+      int RC = cli::crdMain({Verb, Path, "--memo=" + Mode}, Out, Err);
+      SCOPED_TRACE(testing::Message() << Verb << " --memo=" << Mode);
+      EXPECT_EQ(RC, 2);
+      EXPECT_NE(Err.str().find("unknown --memo mode '" + Mode + "'"),
+                std::string::npos)
+          << Err.str();
+      EXPECT_NE(Err.str().find("accepted: off, full"), std::string::npos)
+          << Err.str();
+    }
 
   {
     std::ostringstream Out, Err;
@@ -345,10 +352,9 @@ TEST(MemoTest, CliMemoSurface) {
     EXPECT_NE(Out.str().find("distinct digests"), std::string::npos);
   }
 
-  // A trace file must drive both memo layers, not just echo the mode:
-  // the decode cache hits under decode and full, summaries replay only
-  // under full.
-  for (std::string Mode : {"off", "decode", "full"}) {
+  // A trace file must drive the memo loop, not just echo the mode: under
+  // full the reader verifies repeats and summaries replay.
+  for (std::string Mode : {"off", "full"}) {
     std::ostringstream Out, Err;
     int RC = cli::crdMain({"profile", Path, "--memo=" + Mode}, Out, Err);
     SCOPED_TRACE(Mode);
@@ -356,24 +362,23 @@ TEST(MemoTest, CliMemoSurface) {
     std::string Json = Out.str();
     EXPECT_NE(Json.find("\"mode\": \"" + Mode + "\""), std::string::npos)
         << Json;
-    uint64_t DecodeHits = snapshotCounter(Json, "memo_hits");
+    uint64_t RepeatHits = snapshotCounter(Json, "memo_hits");
     uint64_t SummaryHits = snapshotCounter(Json, "summary_hits");
-    if (Mode == "off")
-      EXPECT_EQ(DecodeHits, 0u);
-    else
-      EXPECT_GT(DecodeHits, 0u);
-    if (Mode == "full")
-      EXPECT_GT(SummaryHits, 0u);
-    else
+    if (Mode == "off") {
+      EXPECT_EQ(RepeatHits, 0u);
       EXPECT_EQ(SummaryHits, 0u);
+    } else {
+      EXPECT_GT(RepeatHits, 0u);
+      EXPECT_GT(SummaryHits, 0u);
+    }
   }
 
   {
-    // The trace is racy, so check exits 1 under every memo mode with the
+    // The trace is racy, so check exits 1 under both memo modes with the
     // same report line.
-    std::string Reports[3];
+    std::string Reports[2];
     int I = 0;
-    for (const char *Mode : {"off", "decode", "full"}) {
+    for (const char *Mode : {"off", "full"}) {
       std::ostringstream Out, Err;
       int RC = cli::crdMain(
           {"check", Path, std::string("--memo=") + Mode}, Out, Err);
@@ -381,6 +386,5 @@ TEST(MemoTest, CliMemoSurface) {
       Reports[I++] = Out.str();
     }
     EXPECT_EQ(Reports[0], Reports[1]);
-    EXPECT_EQ(Reports[0], Reports[2]);
   }
 }

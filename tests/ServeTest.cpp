@@ -15,8 +15,6 @@
 ///  * malformed input kills only the offending session, with the wire
 ///    reader's canonical diagnostic;
 ///  * die notices ('D' frames) are applied in stream order and counted;
-///  * DropNewest discards whole chunks and counts them, leaving the
-///    remainder decodable;
 ///  * idle sessions are reclaimed by the timeout sweep, capacity
 ///    rejections are loud, and SIGTERM-style drain still delivers every
 ///    open session's summary.
@@ -200,9 +198,8 @@ struct ModeCase {
 };
 
 const ModeCase Matrix[] = {
-    {"seq", nullptr},       {"seq", "decode"},       {"seq", "full"},
-    {"fasttrack", nullptr}, {"fasttrack", "decode"}, {"atomicity", nullptr},
-    {"atomicity", "decode"},
+    {"seq", nullptr},       {"seq", "full"},       {"fasttrack", nullptr},
+    {"fasttrack", "full"},  {"atomicity", nullptr}, {"atomicity", "full"},
 };
 
 std::vector<std::string> checkArgs(const TestTrace &T, const ModeCase &M) {
@@ -387,24 +384,6 @@ TEST(ServeTest, ArbitrarySlicingReassemblesChunks) {
   EXPECT_EQ(Normalize(Sliced), Normalize(Whole));
 }
 
-TEST(ServeTest, DropNewestDiscardsWholeChunksAndStillSummarizes) {
-  TestTrace T(/*EventsPerChunk=*/8); // Many small chunks.
-  auto Rep = loadDictionary();
-  serve::SessionLimits Limits;
-  Limits.MaxBufferedBytes = 128;
-  Limits.Policy = ingest::BackpressurePolicy::DropNewest;
-  serve::Session S(1, Limits, Rep.get(), false);
-  std::string Reply = runDirect(
-      S, std::string(serve::ProtocolTag) + "\n" +
-             frame(serve::FrameType::Wire, T.Bytes) +
-             frame(serve::FrameType::End, ""));
-  EXPECT_NE(Reply.find("\"type\":\"summary\""), std::string::npos) << Reply;
-  auto Dropped = Reply.find("\"dropped_chunks\":");
-  ASSERT_NE(Dropped, std::string::npos);
-  EXPECT_NE(Reply.find("\"dropped_chunks\":0"), Dropped)
-      << "expected drops under a 128-byte buffer cap: " << Reply;
-}
-
 TEST(ServeTest, FootprintCeilingKillsTheSessionWithAdvice) {
   TestTrace T;
   auto Rep = loadDictionary();
@@ -421,12 +400,13 @@ TEST(ServeTest, FootprintCeilingKillsTheSessionWithAdvice) {
 
 TEST(ServeTest, BadHandshakeIsRejected) {
   auto Rep = loadDictionary();
-  // A wrong protocol version, and the keys and values of the removed
-  // intra-trace parallel backend: each must get an error reply, not a
-  // session that silently ignores it.
+  // A wrong protocol version, the keys and values of the removed
+  // intra-trace parallel backend, and the removed decode memo mode: each
+  // must get an error reply, not a session that silently ignores it.
   for (const char *Line :
        {"crd-serve/999 detector=seq", "crd-serve/1 detector=parallel",
-        "crd-serve/1 shards=2", "crd-serve/1 batch=64"}) {
+        "crd-serve/1 shards=2", "crd-serve/1 batch=64",
+        "crd-serve/1 memo=decode"}) {
     serve::Session S(1, serve::SessionLimits(), Rep.get(), false);
     std::string Reply = runDirect(S, std::string(Line) + "\n");
     EXPECT_NE(Reply.find("\"type\":\"error\""), std::string::npos)
@@ -434,13 +414,24 @@ TEST(ServeTest, BadHandshakeIsRejected) {
   }
 }
 
-TEST(ServeTest, RemovedParallelOptionsAreUsageErrors) {
+TEST(ServeTest, RemovedOptionsAreUsageErrors) {
   TestTrace T;
-  for (const char *Flag : {"--detector=parallel", "--shards=4", "--batch=64"}) {
+  std::string Sock = std::string(::testing::TempDir()) + "crd_serve_removed_" +
+                     std::to_string(::getpid()) + ".sock";
+  const std::vector<std::vector<std::string>> Cases = {
+      {"check", "--detector=parallel", T.Path},
+      {"check", "--shards=4", T.Path},
+      {"check", "--batch=64", T.Path},
+      {"analyze", "--memo=full", T.Path},
+      {"serve", "--socket=" + Sock, "--policy=drop"},
+  };
+  for (const std::vector<std::string> &Argv : Cases) {
     std::ostringstream Out, Err;
-    EXPECT_EQ(cli::crdMain({"check", Flag, T.Path}, Out, Err), 2) << Flag;
-    EXPECT_EQ(Out.str(), "") << Flag;
+    EXPECT_EQ(cli::crdMain(Argv, Out, Err), 2) << Argv[0] << " " << Argv[1];
+    EXPECT_EQ(Out.str(), "") << Argv[0] << " " << Argv[1];
   }
+  // The daemon refused --policy before binding its socket.
+  EXPECT_NE(::access(Sock.c_str(), F_OK), 0);
 }
 
 //===----------------------------------------------------------------------===//

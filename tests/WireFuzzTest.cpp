@@ -6,10 +6,11 @@
 ///
 /// Deterministic fuzzing of the binary wire decoder: starting from valid
 /// encodings of randomized traces, applies seeded byte flips, splices,
-/// truncations and garbage prefixes/suffixes, then drives WireReader and
-/// scanWire over the result. The decoder must always terminate with either
-/// a clean stream or a diagnostic — never crash, hang, or trip UB (run
-/// under the asan preset; this target is also registered as `wire-fuzz`).
+/// truncations and garbage prefixes/suffixes, then drives WireReader (per
+/// event and through the memo chunk API) and scanWire over the result. The
+/// decoder must always terminate with either a clean stream or a
+/// diagnostic — never crash, hang, or trip UB (run under the asan preset;
+/// this target is also registered as `wire-fuzz`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,20 +38,48 @@ std::string encodeWire(const Trace &T, size_t EventsPerChunk) {
 
 /// Decodes \p Bytes to exhaustion. The assertions here are intentionally
 /// weak — the point is that the decoder terminates and stays in-bounds;
-/// on failure it must have left a diagnostic behind.
-void mustSurvive(const std::string &Bytes) {
+/// on failure it must have left a diagnostic behind. The chunk-API pass
+/// skips verified repeats the way the memo pipeline does and decodes the
+/// rest; \p Skipped (if given) receives how many chunks it skipped.
+void mustSurvive(const std::string &Bytes, size_t *Skipped = nullptr) {
+  size_t Decoded = 0;
+  bool NextClean = false;
   {
     std::istringstream In(Bytes);
     DiagnosticEngine Diags;
     WireReader Reader(In, Diags);
     Event E = Event::txBegin(ThreadId(0));
-    size_t Decoded = 0;
     while (Reader.next(E)) {
       ASSERT_LT(++Decoded, 1u << 22) << "decoder failed to terminate";
     }
     if (Reader.failed()) {
       EXPECT_TRUE(Diags.hasErrors());
     }
+    NextClean = !Reader.failed();
+  }
+  {
+    std::istringstream In(Bytes);
+    DiagnosticEngine Diags;
+    WireReader Reader(In, Diags);
+    EventBatch B;
+    size_t Chunks = 0, Skips = 0;
+    while (std::optional<WireReader::ChunkView> View = Reader.beginChunk()) {
+      ASSERT_LT(++Chunks, 1u << 22) << "chunk loop failed to terminate";
+      if (View->VerifiedRepeat) {
+        Reader.skipChunk();
+        ++Skips;
+      } else {
+        B.clear();
+        Reader.finishChunkInto(B);
+      }
+    }
+    if (Reader.failed()) {
+      EXPECT_TRUE(Diags.hasErrors());
+    } else if (NextClean) {
+      EXPECT_EQ(Reader.eventsRead(), Decoded);
+    }
+    if (Skipped)
+      *Skipped = Skips;
   }
   {
     std::istringstream In(Bytes);
@@ -81,39 +110,54 @@ TEST(WireFuzzTest, SingleByteFlipsEverywhere) {
 
 TEST(WireFuzzTest, SeededRandomMutations) {
   std::mt19937 Rng(0xC0DECu); // Deterministic: same corpus every run.
-  std::string Base = encodeWire(testgen::randomTrace(7, 3, 20, 5), 16);
+  // The second base is one random trace appended three times, one
+  // repetition per chunk: three byte-identical chunks, so the chunk-API
+  // pass verifies and skips the last two, and its mutations reach the
+  // repeat path.
+  Trace Once = testgen::randomTrace(11, 3, 12, 4);
+  Trace Thrice;
+  for (int Rep = 0; Rep != 3; ++Rep)
+    for (const Event &E : Once)
+      Thrice.append(E);
+  std::string Repeated = encodeWire(Thrice, Once.size());
+  size_t Skipped = 0;
+  mustSurvive(Repeated, &Skipped);
+  EXPECT_EQ(Skipped, 2u);
 
-  for (int Round = 0; Round != 400; ++Round) {
-    std::string M = Base;
-    switch (Rng() % 5) {
-    case 0: // Burst of byte flips.
-      for (unsigned N = 1 + Rng() % 8; N; --N)
-        M[Rng() % M.size()] = static_cast<char>(Rng());
-      break;
-    case 1: // Truncate.
-      M.resize(Rng() % M.size());
-      break;
-    case 2: // Duplicate a slice into the middle.
-    {
-      size_t From = Rng() % M.size();
-      size_t Len = Rng() % (M.size() - From);
-      M.insert(Rng() % M.size(), M.substr(From, Len));
-      break;
+  for (const std::string &Base :
+       {encodeWire(testgen::randomTrace(7, 3, 20, 5), 16), Repeated}) {
+    for (int Round = 0; Round != 400; ++Round) {
+      std::string M = Base;
+      switch (Rng() % 5) {
+      case 0: // Burst of byte flips.
+        for (unsigned N = 1 + Rng() % 8; N; --N)
+          M[Rng() % M.size()] = static_cast<char>(Rng());
+        break;
+      case 1: // Truncate.
+        M.resize(Rng() % M.size());
+        break;
+      case 2: // Duplicate a slice into the middle.
+      {
+        size_t From = Rng() % M.size();
+        size_t Len = Rng() % (M.size() - From);
+        M.insert(Rng() % M.size(), M.substr(From, Len));
+        break;
+      }
+      case 3: // Garbage tail (looks like a further chunk header).
+        for (unsigned N = 1 + Rng() % 16; N; --N)
+          M.push_back(static_cast<char>(Rng()));
+        break;
+      case 4: // Zero a window (kills CRCs and lengths together).
+      {
+        size_t At = Rng() % M.size();
+        size_t Len = std::min<size_t>(1 + Rng() % 32, M.size() - At);
+        for (size_t I = 0; I != Len; ++I)
+          M[At + I] = 0;
+        break;
+      }
+      }
+      mustSurvive(M);
     }
-    case 3: // Garbage tail (looks like a further chunk header).
-      for (unsigned N = 1 + Rng() % 16; N; --N)
-        M.push_back(static_cast<char>(Rng()));
-      break;
-    case 4: // Zero a window (kills CRCs and lengths together).
-    {
-      size_t At = Rng() % M.size();
-      size_t Len = std::min<size_t>(1 + Rng() % 32, M.size() - At);
-      for (size_t I = 0; I != Len; ++I)
-        M[At + I] = 0;
-      break;
-    }
-    }
-    mustSurvive(M);
   }
 }
 

@@ -165,11 +165,11 @@ const char CheckHelp[] =
     "  --detector=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE        ECL spec for action commutativity (default:\n"
     "                     builtin dictionary, paper Fig 6)\n"
-    "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
-    "                     content digests (default off; bare --memo = full).\n"
-    "                     decode caches repeated chunk decodes; full also\n"
-    "                     replays detector chunk summaries (seq backend).\n"
-    "                     Races are identical in every mode\n"
+    "  --memo[=off|full]  chunk memoization for binary traces with content\n"
+    "                     digests (default off; bare --memo = full). full\n"
+    "                     replays detector summaries of repeated chunks\n"
+    "                     without decoding them (seq backend). Races are\n"
+    "                     identical in both modes\n"
     "  --quiet            suppress per-race lines, print the summary only\n";
 
 int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
@@ -351,8 +351,8 @@ int runStats(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
       return ExitFindings;
     }
     Out << "  chunks: " << Info->Chunks.size() << "\n";
-    // Chunk repetition: how much of the payload a digest-keyed decode
-    // cache (crd check/analyze --memo) would never decode twice.
+    // Chunk repetition: how much of the payload repeats an earlier chunk
+    // byte for byte — what crd check --memo can skip.
     {
       std::unordered_set<uint64_t> Seen;
       uint64_t TotalPayload = 0, RepeatedPayload = 0;
@@ -398,7 +398,7 @@ const char BenchHelp[] =
     "options:\n"
     "  --reps=N           repetitions per configuration (default 5)\n"
     "  --spec=FILE        spec for the decode+detect configuration\n"
-    "  --memo[=off|decode|full]   chunk memoization for the decode+detect\n"
+    "  --memo[=off|full]  chunk memoization for the decode+detect\n"
     "                     configuration (default off; bare --memo = full)\n";
 
 double bestSeconds(unsigned Reps, const std::function<void()> &Fn) {
@@ -564,7 +564,7 @@ const char ProfileHelp[] =
     "  --backend=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
-    "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
+    "  --memo[=off|full]    chunk memoization for binary traces with\n"
     "                       content digests (default off; bare --memo =\n"
     "                       full). The snapshot's \"memo\" and \"source\"\n"
     "                       objects report hit/miss/replay counters\n";
@@ -654,20 +654,12 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
 //===----------------------------------------------------------------------===//
 
 const char AnalyzeHelp[] =
-    "usage: crd analyze [options] <trace-file> [spec-file]\n"
+    "usage: crd analyze <trace-file> [spec-file]\n"
     "\n"
     "The full offline report over one trace (text or binary): trace\n"
     "statistics, commutativity races with a triage summary, FastTrack\n"
     "read-write races, and — when the trace marks atomic blocks — the\n"
-    "commutativity-aware atomicity violations.\n"
-    "\n"
-    "options:\n"
-    "  --memo[=off|decode|full]   chunk memoization for the commutativity\n"
-    "                     pass over binary traces with content digests\n"
-    "                     (default off; bare --memo = full). decode caches\n"
-    "                     repeated chunk decodes; full also replays\n"
-    "                     detector chunk summaries. Races are identical\n"
-    "                     in every mode\n";
+    "commutativity-aware atomicity violations.\n";
 
 } // namespace
 
@@ -678,13 +670,10 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
     Out << AnalyzeHelp;
     return ExitClean;
   }
-  if (auto Bad = Parsed.unknownOption({"memo"})) {
+  if (auto Bad = Parsed.unknownOption({})) {
     Err << "error: unknown option --" << *Bad << "\n" << AnalyzeHelp;
     return ExitUsage;
   }
-  wire::MemoMode Memo = wire::MemoMode::Off;
-  if (!parseMemoMode(Parsed, Memo, Err))
-    return ExitUsage;
   if (Parsed.Positional.empty() || Parsed.Positional.size() > 2) {
     Err << AnalyzeHelp;
     return ExitUsage;
@@ -721,49 +710,23 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
   if (!Rep)
     return Exit;
 
-  // The commutativity pass streams through the pipeline when memoization
-  // is requested (the decode cache and chunk summaries live there); the
-  // materialized trace drives it otherwise. Races are bit-identical.
   CommutativityRaceDetector RD2;
-  wire::PipelineOptions POpts;
-  POpts.Memo = Memo;
-  wire::StreamPipeline MemoPipeline(POpts);
-  const std::vector<CommutativityRace> *CRaces = nullptr;
-  size_t DistinctObjs = 0;
-  if (Memo != wire::MemoMode::Off) {
-    MemoPipeline.setDefaultProvider(Rep.get());
-    DiagnosticEngine StreamDiags;
-    auto StreamSource = wire::openEventSource(TracePath, StreamDiags);
-    if (!StreamSource) {
-      Err << StreamDiags.toString();
-      return ExitUsage;
-    }
-    wire::StreamSummary Sum = MemoPipeline.run(*StreamSource);
-    if (StreamSource->failed()) {
-      Err << TracePath << ":\n" << StreamDiags.toString();
-      return ExitFindings;
-    }
-    CRaces = &MemoPipeline.races();
-    DistinctObjs = Sum.DistinctRacyObjects;
-  } else {
-    RD2.setDefaultProvider(Rep.get());
-    RD2.processTrace(T);
-    CRaces = &RD2.races();
-    DistinctObjs = RD2.distinctRacyObjects();
-  }
+  RD2.setDefaultProvider(Rep.get());
+  RD2.processTrace(T);
+  const std::vector<CommutativityRace> &CRaces = RD2.races();
 
   FastTrackDetector FT;
   FT.processTrace(T);
 
   TraceStats::compute(T).print(Out);
   Out << '\n';
-  Out << "commutativity races (" << CRaces->size() << " total, "
-      << DistinctObjs << " distinct objects):\n";
-  for (const CommutativityRace &R : *CRaces)
+  Out << "commutativity races (" << CRaces.size() << " total, "
+      << RD2.distinctRacyObjects() << " distinct objects):\n";
+  for (const CommutativityRace &R : CRaces)
     Out << "  " << R << '\n';
-  if (!CRaces->empty()) {
+  if (!CRaces.empty()) {
     Out << "\ntriage summary:\n";
-    RaceSummary::build(*CRaces).print(Out);
+    RaceSummary::build(CRaces).print(Out);
   }
 
   Out << "\nread-write races (" << FT.races().size() << " total, "
@@ -786,7 +749,7 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
       Out << "  " << V << '\n';
   }
 
-  return (CRaces->empty() && FT.races().empty() && Violations == 0)
+  return (CRaces.empty() && FT.races().empty() && Violations == 0)
              ? ExitClean
              : ExitFindings;
 }

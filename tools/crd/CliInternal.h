@@ -152,7 +152,7 @@ loadProvider(const std::string &SpecPath, std::ostream &Err, int &Exit) {
   return Rep;
 }
 
-/// Parses the `--memo[=off|decode|full]` option shared by the analysis
+/// Parses the `--memo[=off|full]` option shared by the analysis
 /// subcommands (bare `--memo` means full). Leaves \p Out untouched when
 /// the option is absent; returns false after printing a usage error when
 /// the value is not in the accepted set.
@@ -165,11 +165,9 @@ inline bool parseMemoMode(const ParsedArgs &Args, wire::MemoMode &Out,
     Out = wire::MemoMode::Full;
   else if (*V == "off")
     Out = wire::MemoMode::Off;
-  else if (*V == "decode")
-    Out = wire::MemoMode::Decode;
   else {
     Err << "error: unknown --memo mode '" << *V
-        << "' (accepted: off, decode, full)\n";
+        << "' (accepted: off, full)\n";
     return false;
   }
   return true;

@@ -62,13 +62,11 @@ const char ServeHelp[] =
     "  --max-sessions=N     reject connections beyond N live sessions\n"
     "                       (default 0 = unlimited)\n"
     "  --buffer-cap=BYTES   per-session bound on buffered undetected\n"
-    "                       input (default 8388608)\n"
-    "  --policy=block|drop  what a full buffer does: block = stop reading\n"
-    "                       the socket, drop = discard whole chunks and\n"
-    "                       count them (default block)\n"
+    "                       input; a full buffer stops reading the socket\n"
+    "                       (default 8388608)\n"
     "  --session-cap=BYTES  per-session footprint ceiling: buffers +\n"
-    "                       decode arenas + memo caches (default 0 =\n"
-    "                       unlimited); sessions over it are killed\n"
+    "                       decode arenas + memo payload store (default\n"
+    "                       0 = unlimited); sessions over it are killed\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
     "  --chrome-trace=FILE  on exit, write a chrome://tracing timeline\n"
@@ -84,8 +82,8 @@ const char ServeHelp[] =
     "  --sessions=N         concurrent stress sessions per wave (default 8)\n"
     "  --waves=N            sequential stress waves (default 1)\n"
     "  --detector=seq|fasttrack|atomicity   session backend (default seq)\n"
-    "  --memo[=off|decode|full]   chunk memoization for traces with\n"
-    "                       content digests (default off; bare --memo = full)\n"
+    "  --memo[=off|full]    chunk memoization for traces with content\n"
+    "                       digests (default off; bare --memo = full)\n"
     "  --json               print the raw reply lines instead of check-\n"
     "                       format rendering\n";
 
@@ -163,15 +161,6 @@ int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
       return ExitUsage;
     }
     Opts.Limits.MaxSessionBytes = static_cast<size_t>(*N);
-  }
-  std::string PolicyName = Args.option("policy").value_or("block");
-  if (PolicyName == "block")
-    Opts.Limits.Policy = ingest::BackpressurePolicy::Block;
-  else if (PolicyName == "drop")
-    Opts.Limits.Policy = ingest::BackpressurePolicy::DropNewest;
-  else {
-    Err << "error: --policy expects 'block' or 'drop'\n";
-    return ExitUsage;
   }
   std::string ChromePath = Args.option("chrome-trace").value_or("");
   Opts.TraceSessions = !ChromePath.empty();
@@ -631,8 +620,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
                                  std::ostream &Out, std::ostream &Err) {
   ParsedArgs Args(joinValueOptions(
       Raw, {"--socket", "--tcp", "--workers", "--idle-timeout",
-            "--max-sessions", "--buffer-cap", "--session-cap", "--policy",
-            "--spec", "--chrome-trace", "--connect", "--trace", "--detector",
+            "--max-sessions", "--buffer-cap", "--session-cap", "--spec",
+            "--chrome-trace", "--connect", "--trace", "--detector",
             "--sessions", "--waves"}));
   if (Args.Help) {
     Out << ServeHelp;
@@ -640,9 +629,9 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
   }
   if (auto Bad = Args.unknownOption(
           {"socket", "tcp", "workers", "idle-timeout", "max-sessions",
-           "buffer-cap", "session-cap", "policy", "spec", "chrome-trace",
-           "connect", "trace", "detector", "memo", "json", "status",
-           "stress", "sessions", "waves"})) {
+           "buffer-cap", "session-cap", "spec", "chrome-trace", "connect",
+           "trace", "detector", "memo", "json", "status", "stress",
+           "sessions", "waves"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ServeHelp;
     return ExitUsage;
   }
@@ -655,8 +644,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
   // every verb reports a rejected mode (rejectUnsupported).
   const bool IsClient = Args.option("connect").has_value();
   static const char *const DaemonOnly[] = {
-      "socket", "tcp",         "workers",     "idle-timeout", "max-sessions",
-      "buffer-cap", "session-cap", "policy", "spec",         "chrome-trace"};
+      "socket",     "tcp",         "workers", "idle-timeout", "max-sessions",
+      "buffer-cap", "session-cap", "spec",    "chrome-trace"};
   static const char *const ClientOnly[] = {
       "trace", "detector", "memo",     "json",
       "status", "stress",  "sessions", "waves"};
