@@ -60,7 +60,7 @@ int main(int Argc, char **Argv) {
   size_t SizeRaces = 0;
   for (const CommutativityRace &R : RD2.races())
     if (R.Current.method() == symbol("size") ||
-        R.PointName.find("size") != std::string::npos)
+        R.PointName.str().find("size") != std::string_view::npos)
       ++SizeRaces;
   std::cout << "  of which involve size() vs. resizing puts: " << SizeRaces
             << "  <- the section-7 samples/size race\n\n";

@@ -44,6 +44,8 @@
 #include <array>
 #include <cassert>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -94,6 +96,7 @@ public:
   void bind(ObjectId Obj, const AccessPointProvider *Provider) {
     assert(Provider && "null provider");
     ++ConfigStamp;
+    forgetClassNames();
     Bindings[Obj] = Provider;
     if (auto *State = Objects.find(Obj))
       (*State)->Provider = Provider;
@@ -102,6 +105,7 @@ public:
   /// Representation used for objects without an explicit bind().
   void setDefaultProvider(const AccessPointProvider *Provider) {
     ++ConfigStamp;
+    forgetClassNames();
     DefaultProvider = Provider;
     refreshProviders();
   }
@@ -231,19 +235,8 @@ public:
         assert((Provider->classCarriesValue(Partner) == Pt.HasValue) &&
                "conflicts must not cross value-carrying and plain classes");
         const EpochClock *Prior = State.Active.find(Key);
-        if (!Prior)
-          continue;
-        if (!Prior->leq(Clock)) {
-          CommutativityRace Race;
-          Race.EventIndex = EventIndex;
-          Race.Thread = Thread;
-          Race.Current = A;
-          Race.PointName = Provider->className(Partner);
-          Race.PriorClock = Prior->toClock();
-          Race.CurrentClock = Clock;
-          Races.push_back(std::move(Race));
-          RacyObjects.insert(A.object());
-        }
+        if (Prior && !Prior->leq(Clock))
+          reportRace(A, Thread, Clock, EventIndex, *Provider, Partner, *Prior);
       }
     }
 
@@ -274,7 +267,19 @@ public:
     Objects.erase(Obj);
   }
 
+  /// Records reported and not yet drained, in report order.
   const std::vector<CommutativityRace> &races() const { return Races; }
+
+  /// Total races reported so far, drained or not.
+  size_t raceCount() const { return RaceCount; }
+
+  /// Hands every undrained record to \p Fn in report order, then drops
+  /// them: afterwards races() is empty and only the counters remain.
+  template <typename F> void drainRaces(F &&Fn) {
+    for (const CommutativityRace &R : Races)
+      Fn(R);
+    Races.clear();
+  }
 
   size_t distinctRacyObjects() const { return RacyObjects.size(); }
   size_t conflictChecks() const { return ConflictChecks; }
@@ -316,6 +321,7 @@ public:
   void replayRace(const CommutativityRace &Race) {
     RacyObjects.insert(Race.Current.object());
     Races.push_back(Race);
+    ++RaceCount;
   }
 
   /// Adds a replayed chunk's counter deltas (phase-1 probes and actions).
@@ -356,6 +362,59 @@ public:
   }
 
 private:
+  /// Phase 1's report: builds the record in place. Neither the class name
+  /// nor a non-escalated prior clock costs an allocation, and the current
+  /// clock is the thread's shared snapshot.
+  void reportRace(const Action &A, ThreadId Thread, const VectorClock &Clock,
+                  size_t EventIndex, const AccessPointProvider &Provider,
+                  uint32_t Partner, const EpochClock &Prior) {
+    CommutativityRace &Race = Races.emplace_back();
+    Race.EventIndex = EventIndex;
+    Race.Thread = Thread;
+    Race.Current = A;
+    Race.PointName = className(Provider, Partner);
+    Race.PriorClock = RaceClock::of(Prior);
+    Race.CurrentClock = threadSnapshot(Thread, Clock);
+    ++RaceCount;
+    RacyObjects.insert(A.object());
+  }
+
+  /// \p Provider's name for \p Class, interned on first use and cached per
+  /// (provider, class): SymbolTable takes a global lock, so no race pays
+  /// for an intern.
+  Symbol className(const AccessPointProvider &Provider, uint32_t Class) {
+    if (&Provider != NamedProvider) {
+      NamedProvider = &Provider;
+      Names = &ClassNames[&Provider];
+    }
+    if (Class >= Names->size())
+      Names->resize(Class + 1);
+    std::optional<Symbol> &Name = (*Names)[Class];
+    if (!Name)
+      Name = symbol(Provider.className(Class));
+    return *Name;
+  }
+
+  /// Drops the class-name cache: a rebinding may free a provider and
+  /// allocate another at the same address.
+  void forgetClassNames() {
+    ClassNames.clear();
+    NamedProvider = nullptr;
+    Names = nullptr;
+  }
+
+  /// A snapshot of \p Thread's clock \p Clock, reused by every race of the
+  /// thread while the clock's contents are unchanged.
+  const RaceClock &threadSnapshot(ThreadId Thread, const VectorClock &Clock) {
+    size_t I = Thread.index();
+    if (I >= ThreadSnapshots.size())
+      ThreadSnapshots.resize(I + 1);
+    RaceClock &Snapshot = ThreadSnapshots[I];
+    if (!Snapshot.isSnapshotOf(Clock))
+      Snapshot = RaceClock(Clock);
+    return Snapshot;
+  }
+
   ObjectState &stateFor(ObjectId Obj) {
     if (LastState && LastObj == Obj) {
       CacheHits.inc();
@@ -387,8 +446,18 @@ private:
   /// One-entry cache for the common run of actions on the same object.
   ObjectState *LastState = nullptr;
   ObjectId LastObj;
+  /// Undrained records (see drainRaces()) and the total ever reported.
   std::vector<CommutativityRace> Races;
+  size_t RaceCount = 0;
   std::unordered_set<ObjectId> RacyObjects;
+  /// Class names by provider, then class id (see className()).
+  std::unordered_map<const AccessPointProvider *,
+                     std::vector<std::optional<Symbol>>>
+      ClassNames;
+  const AccessPointProvider *NamedProvider = nullptr;
+  std::vector<std::optional<Symbol>> *Names = nullptr;
+  /// Per-thread current-clock snapshots (see threadSnapshot()).
+  std::vector<RaceClock> ThreadSnapshots;
   std::vector<AccessPoint> Scratch;
   size_t ConflictChecks = 0;
   size_t ActivePoints = 0;

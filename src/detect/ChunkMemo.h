@@ -78,8 +78,10 @@ struct ChunkSummary {
   std::vector<std::pair<ObjectId, uint64_t>> ObjectVersions;
 
   /// Races the chunk reported, keyed by event index relative to the
-  /// chunk's first event. Reports own their action payloads (deep copies);
-  /// replay re-bases EventIndex onto the current stream position.
+  /// chunk's first event. Records are compact and self-contained (Race.h):
+  /// each owns its action values, and the copies replay pushes share the
+  /// recorded clock snapshots. Replay re-bases EventIndex onto the current
+  /// stream position.
   std::vector<std::pair<uint32_t, CommutativityRace>> Races;
 
   /// Number of events in the chunk (stream-position advance on replay).

@@ -71,8 +71,20 @@ public:
   /// clocks are dropped; no further races can be reported on it.
   void objectDied(ObjectId Obj) { Engine.objectDied(Obj); }
 
+  /// Records reported and not yet drained, in report order. A detector
+  /// nobody drains (the usual standalone use) keeps every record here.
   const std::vector<CommutativityRace> &races() const {
     return Engine.races();
+  }
+
+  /// Total races reported so far, drained or not.
+  size_t raceCount() const { return Engine.raceCount(); }
+
+  /// Hands every undrained record to \p Fn in report order, then drops
+  /// them. The streaming pipeline drains after every batch, so it keeps
+  /// only counters and the distinct-object set.
+  template <typename F> void drainRaces(F &&Fn) {
+    Engine.drainRaces(std::forward<F>(Fn));
   }
 
   /// Number of distinct objects participating in at least one reported race
@@ -100,8 +112,10 @@ public:
   // into a ChunkSummary), tryReplayChunk() on later occurrences.
   //===--------------------------------------------------------------------===//
 
-  /// Snapshot of the stream position, race count, counter baselines and
-  /// mutation stamps taken before interpreting a candidate chunk.
+  /// Snapshot of the stream position, undrained race count, counter
+  /// baselines and mutation stamps taken before interpreting a candidate
+  /// chunk. No drain may run between beginMemoRecord() and
+  /// finishMemoRecord(): the summary copies the records reported since.
   struct MemoRecordToken {
     size_t BaseEventIndex = 0;
     size_t BaseRaces = 0;

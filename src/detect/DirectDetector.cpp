@@ -35,23 +35,29 @@ void DirectCommutativityDetector::handleInvoke(const Event &E) {
     State.Spec = DefaultSpec;
   }
   const VectorClock &Clock = VCState.clockOf(E.thread());
+  RaceClock CurrentSnapshot;
 
-  for (const Recorded &Prior : State.History) {
+  for (Recorded &Prior : State.History) {
     ++ConflictChecks;
     if (!Prior.Clock.concurrentWith(Clock))
       continue;
     if (State.Spec->commute(Prior.TheAction, A))
       continue;
-    CommutativityRace Race;
+    if (!Prior.Name) {
+      Prior.Name = symbol("action " + Prior.TheAction.toString());
+      Prior.Snapshot = RaceClock(Prior.Clock);
+    }
+    if (CurrentSnapshot.size() == 0)
+      CurrentSnapshot = RaceClock(Clock);
+    CommutativityRace &Race = Races.emplace_back();
     Race.EventIndex = EventIndex - 1;
     Race.Thread = E.thread();
     Race.Current = A;
-    Race.PointName = "action " + Prior.TheAction.toString();
-    Race.PriorClock = Prior.Clock;
-    Race.CurrentClock = Clock;
-    Races.push_back(std::move(Race));
+    Race.PointName = *Prior.Name;
+    Race.PriorClock = Prior.Snapshot;
+    Race.CurrentClock = CurrentSnapshot;
     RacyObjects.insert(A.object());
   }
 
-  State.History.push_back({A, Clock, EventIndex - 1, E.thread()});
+  State.History.push_back({A, Clock, std::nullopt, RaceClock()});
 }

@@ -22,7 +22,7 @@
 #include "spec/Spec.h"
 #include "trace/Trace.h"
 
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -54,8 +54,10 @@ private:
   struct Recorded {
     Action TheAction;
     VectorClock Clock;
-    size_t EventIndex;
-    ThreadId Thread;
+    /// Race-record forms of this action as the prior side ("action ..."
+    /// and its clock), built on the first race it takes part in.
+    std::optional<Symbol> Name;
+    RaceClock Snapshot;
   };
 
   struct ObjectState {

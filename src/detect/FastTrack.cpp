@@ -31,6 +31,7 @@ void FastTrackDetector::processTrace(const Trace &T) {
 void FastTrackDetector::report(MemoryRace::Kind Kind, VarId Var,
                                ThreadId Prior, ThreadId Current) {
   Races.push_back({EventIndex - 1, Var, Kind, Prior, Current});
+  ++RaceCount;
   RacyVars.insert(Var);
 }
 

@@ -48,7 +48,20 @@ public:
   void process(const Event &E);
   void processTrace(const Trace &T);
 
+  /// Records reported and not yet drained, in report order (every record
+  /// unless a caller drains).
   const std::vector<MemoryRace> &races() const { return Races; }
+
+  /// Total races reported so far, drained or not.
+  size_t raceCount() const { return RaceCount; }
+
+  /// Hands every undrained record to \p Fn in report order, then drops
+  /// them.
+  template <typename F> void drainRaces(F &&Fn) {
+    for (const MemoryRace &R : Races)
+      Fn(R);
+    Races.clear();
+  }
 
   /// Number of distinct memory locations with at least one race (the
   /// "(distinct)" column of Table 2 for FASTTRACK).
@@ -99,6 +112,7 @@ private:
   /// addressing probe instead of a node pointer chase.
   FlatMap<VarId, VarState> Vars;
   std::vector<MemoryRace> Races;
+  size_t RaceCount = 0;
   std::unordered_set<VarId> RacyVars;
   size_t EventIndex = 0;
   /// Observability counters (single writer; no-ops when CRD_METRICS=0).

@@ -30,7 +30,7 @@ RaceSummary RaceSummary::build(const std::vector<CommutativityRace> &Races) {
     }
     ObjectGroup &G = Summary.Groups[It->second];
     ++G.Count;
-    ++G.ByPoint[R.PointName];
+    ++G.ByPoint[std::string(R.PointName.str())];
     ++G.ByMethod[std::string(R.Current.method().str())];
     if (R.EventIndex < G.FirstEvent) {
       G.FirstEvent = R.EventIndex;

@@ -6,6 +6,7 @@
 
 #include "serve/Protocol.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -125,6 +126,17 @@ void serve::appendFrameHeader(std::string &Out, FrameType T,
   Out.push_back(static_cast<char>(T));
   for (unsigned I = 0; I != 4; ++I)
     Out.push_back(static_cast<char>((BodySize >> (8 * I)) & 0xff));
+}
+
+void serve::escapeJsonFrom(std::string &Out, size_t From) {
+  auto It = std::find_if(Out.begin() + From, Out.end(), [](char C) {
+    return C == '"' || C == '\\' || static_cast<unsigned char>(C) < 0x20;
+  });
+  if (It == Out.end())
+    return;
+  std::string Raw(It, Out.end());
+  Out.erase(It, Out.end());
+  appendJsonEscaped(Out, Raw);
 }
 
 void serve::appendJsonEscaped(std::string &Out, std::string_view S) {

@@ -88,6 +88,11 @@ void appendFrameHeader(std::string &Out, FrameType T, uint32_t BodySize);
 /// included) — reply lines are hand-assembled to stay single-line.
 void appendJsonEscaped(std::string &Out, std::string_view S);
 
+/// JSON-escapes \p Out's tail from byte \p From in place: text rendered
+/// straight into a reply line is escaped only when it holds a character
+/// JSON must escape.
+void escapeJsonFrom(std::string &Out, size_t From);
+
 /// Canonical spellings shared with the `crd` CLI surface.
 const char *backendToken(wire::Backend B);
 const char *memoToken(wire::MemoMode M);

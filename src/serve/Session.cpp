@@ -7,6 +7,7 @@
 #include "serve/Session.h"
 
 #include "support/Metrics.h"
+#include "support/TextRender.h"
 #include "wire/WireFormat.h"
 
 #include <algorithm>
@@ -150,12 +151,23 @@ void Session::deliverStatus(std::string Doc) {
   DoneFlag = true;
 }
 
-void Session::emitLine(std::string Line) {
-  Line += '\n';
+void Session::emitLine(std::string_view Line) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (DoneFlag)
     return; // Killed from the I/O side; the error line already went out.
   OutBuf += Line;
+  OutBuf += '\n';
+}
+
+template <typename RaceT> void Session::emitRaceLine(const RaceT &R) {
+  RaceLine.assign("{\"type\":\"race\",\"index\":");
+  RaceLine += std::to_string(RaceLines++);
+  RaceLine += ",\"text\":\"";
+  size_t Text = RaceLine.size();
+  text::append(RaceLine, R);
+  escapeJsonFrom(RaceLine, Text);
+  RaceLine += "\"}";
+  emitLine(RaceLine);
 }
 
 void Session::failSession(std::string_view Reason) {
@@ -294,26 +306,10 @@ bool Session::handleHandshake() {
   Pipeline = std::make_unique<wire::StreamPipeline>(Opts);
   if (Config.TheBackend != wire::Backend::FastTrack && Provider)
     Pipeline->setDefaultProvider(Provider);
-  Pipeline->setRaceCallback([this](const CommutativityRace &R) {
-    std::ostringstream OS;
-    OS << R;
-    std::string Line = "{\"type\":\"race\",\"index\":";
-    Line += std::to_string(RaceLines++);
-    Line += ",\"text\":\"";
-    appendJsonEscaped(Line, OS.str());
-    Line += "\"}";
-    emitLine(std::move(Line));
-  });
-  Pipeline->setMemoryRaceCallback([this](const MemoryRace &R) {
-    std::ostringstream OS;
-    OS << R;
-    std::string Line = "{\"type\":\"race\",\"index\":";
-    Line += std::to_string(RaceLines++);
-    Line += ",\"text\":\"";
-    appendJsonEscaped(Line, OS.str());
-    Line += "\"}";
-    emitLine(std::move(Line));
-  });
+  Pipeline->setRaceCallback(
+      [this](const CommutativityRace &R) { emitRaceLine(R); });
+  Pipeline->setMemoryRaceCallback(
+      [this](const MemoryRace &R) { emitRaceLine(R); });
   std::string Hello = "{\"type\":\"hello\",\"session\":";
   Hello += std::to_string(Id);
   Hello += ",\"detector\":\"";

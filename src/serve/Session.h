@@ -215,7 +215,9 @@ private:
   void pumpPipeline();
   void finishTrace();
   void failSession(std::string_view Reason);
-  void emitLine(std::string Line);
+  void emitLine(std::string_view Line);
+  /// Renders \p R straight into the reusable reply line: one `race` line.
+  template <typename RaceT> void emitRaceLine(const RaceT &R);
   void emitSummary();
   size_t footprintBytes() const;
   bool overFootprintCeiling();
@@ -252,6 +254,7 @@ private:
   uint64_t PumpRounds = 0;
   uint64_t RaceLines = 0;
   uint64_t ViolationLines = 0;
+  std::string RaceLine; ///< emitRaceLine()'s buffer, warm across races.
 
   /// Worker-only detection state, constructed at handshake (pipeline) and
   /// at first whole file header (reader/source).

@@ -125,6 +125,13 @@ public:
   /// `"a.com"`.
   std::string toString() const;
 
+  /// Upper bound of the bytes renderText() writes (support/TextRender.h).
+  size_t textBound() const;
+  /// Writes toString()'s text at \p Out, which has room for textBound()
+  /// bytes; returns the end. Strings are quoted and escaped here, and only
+  /// here, exactly as the trace lexer unescapes them.
+  char *renderText(char *Out) const;
+
 private:
   Kind TheKind;
   union {

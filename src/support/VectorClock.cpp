@@ -6,9 +6,7 @@
 
 #include "support/VectorClock.h"
 
-#include <algorithm>
-#include <ostream>
-#include <sstream>
+#include "support/TextRender.h"
 
 using namespace crd;
 
@@ -39,18 +37,19 @@ VectorClock VectorClock::join(const VectorClock &A, const VectorClock &B) {
   return Result;
 }
 
-std::string VectorClock::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
+std::string VectorClock::toString() const { return text::toString(*this); }
+
+char *VectorClock::renderComponents(char *Out, const uint32_t *C, size_t N) {
+  *Out++ = '<';
+  for (size_t I = 0; I != N; ++I) {
+    if (I != 0)
+      *Out++ = ',';
+    Out = text::putUint(Out, C[I]);
+  }
+  *Out++ = '>';
+  return Out;
 }
 
 std::ostream &crd::operator<<(std::ostream &OS, const VectorClock &VC) {
-  OS << '<';
-  for (size_t I = 0, E = VC.size(); I != E; ++I) {
-    if (I != 0)
-      OS << ',';
-    OS << VC.get(ThreadId(static_cast<uint32_t>(I)));
-  }
-  return OS << '>';
+  return text::write(OS, VC);
 }

@@ -188,6 +188,9 @@ public:
   /// Number of stored (non-implicit) components.
   size_t size() const { return Components.size(); }
 
+  /// The stored components, index i = thread i.
+  const uint32_t *data() const { return Components.data(); }
+
   friend bool operator==(const VectorClock &A, const VectorClock &B) {
     return A.Components == B.Components;
   }
@@ -197,6 +200,18 @@ public:
 
   /// Renders e.g. ⟨3,0,1⟩ as "<3,0,1>".
   std::string toString() const;
+
+  /// Upper bound of the bytes renderText() writes (support/TextRender.h).
+  size_t textBound() const { return componentsTextBound(size()); }
+  /// Writes toString()'s text at \p Out; returns the end.
+  char *renderText(char *Out) const {
+    return renderComponents(Out, data(), size());
+  }
+
+  /// The shared clock text rules, also used by race-record clocks: \p N
+  /// components rendered as "<c0,c1,...>".
+  static size_t componentsTextBound(size_t N) { return 2 + 11 * N; }
+  static char *renderComponents(char *Out, const uint32_t *C, size_t N);
 
 private:
   void normalize();

@@ -158,6 +158,11 @@ public:
   /// Renders e.g. `o1.put("a.com", 7)/nil`.
   std::string toString() const;
 
+  /// Upper bound of the bytes renderText() writes (support/TextRender.h).
+  size_t textBound() const;
+  /// Writes toString()'s text at \p Out; returns the end.
+  char *renderText(char *Out) const;
+
 private:
   /// Points Vals at owned storage for \p Count values (inline if they fit,
   /// a fresh heap block otherwise) and returns it for filling.

@@ -84,17 +84,17 @@ void StreamPipeline::bind(ObjectId Obj, const AccessPointProvider *Provider) {
     Atom->bind(Obj, Provider);
 }
 
-void StreamPipeline::drainNewRaces() {
-  if (RaceCallback) {
-    const std::vector<CommutativityRace> &All = races();
-    for (; RacesSeen < All.size(); ++RacesSeen)
-      RaceCallback(All[RacesSeen]);
-  }
-  if (MemoryRaceCallback) {
-    const std::vector<MemoryRace> &All = memoryRaces();
-    for (; MemoryRacesSeen < All.size(); ++MemoryRacesSeen)
-      MemoryRaceCallback(All[MemoryRacesSeen]);
-  }
+void StreamPipeline::drainRaces() {
+  if (Seq)
+    Seq->drainRaces([this](const CommutativityRace &R) {
+      if (RaceCallback)
+        RaceCallback(R);
+    });
+  if (FT)
+    FT->drainRaces([this](const MemoryRace &R) {
+      if (MemoryRaceCallback)
+        MemoryRaceCallback(R);
+    });
 }
 
 void StreamPipeline::onEvent(const Event &E) {
@@ -118,17 +118,13 @@ void StreamPipeline::onEvent(const Event &E) {
     TxEvents.inc();
     break;
   }
-  if (Seq) {
+  if (Seq)
     Seq->process(E);
-    drainNewRaces();
-    return;
-  }
-  if (FT) {
+  else if (FT)
     FT->process(E);
-    drainNewRaces();
-    return;
-  }
-  Atom->process(E);
+  else
+    Atom->process(E);
+  drainRaces();
 }
 
 void StreamPipeline::tallyBatchKinds(const EventBatch &B) {
@@ -152,6 +148,7 @@ void StreamPipeline::tallyBatchKinds(const EventBatch &B) {
 
 void StreamPipeline::processBatch(EventBatch &B) {
   detectBatch(B);
+  drainRaces();
   B.clear();
 }
 
@@ -173,10 +170,9 @@ void StreamPipeline::detectBatch(const EventBatch &B) {
         Atom->process(E);
     }
   }
-  drainNewRaces();
 }
 
-void StreamPipeline::finish() { drainNewRaces(); }
+void StreamPipeline::finish() { drainRaces(); }
 
 bool StreamPipeline::pumpChunk(WireReader &Reader) {
   // Chunk-at-a-time: verified-repeat chunks consult the summary table
@@ -196,7 +192,7 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
           MemEvents.add(S->MemEvents);
           TxEvents.add(S->TxEvents);
         }
-        drainNewRaces();
+        drainRaces();
         return true;
       }
       if (S->Memoizable)
@@ -215,7 +211,8 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
   // Sync-bearing chunks become sticky negative entries (never
   // memoizable); a sync-free chunk that merely mutated state this time
   // is retried on its next occurrence — repeated payloads often reach a
-  // detector fixed point after a warm-up pass.
+  // detector fixed point after a warm-up pass. The summary copies the
+  // chunk's records, so the drain comes after it.
   if (View->VerifiedRepeat) {
     const ChunkSummary *Existing = MemoTable.find(View->Digest);
     if (!Existing || Existing->Memoizable) {
@@ -227,6 +224,7 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
         MemoTable.erase(View->Digest);
     }
   }
+  drainRaces();
   return true;
 }
 
@@ -261,16 +259,6 @@ StreamSummary StreamPipeline::run(EventSource &Source) {
   return summary();
 }
 
-const std::vector<CommutativityRace> &StreamPipeline::races() const {
-  static const std::vector<CommutativityRace> Empty;
-  return Seq ? Seq->races() : Empty;
-}
-
-const std::vector<MemoryRace> &StreamPipeline::memoryRaces() const {
-  static const std::vector<MemoryRace> Empty;
-  return FT ? FT->races() : Empty;
-}
-
 const std::vector<AtomicityViolation> &StreamPipeline::violations() const {
   static const std::vector<AtomicityViolation> Empty;
   return Atom ? Atom->violations() : Empty;
@@ -279,12 +267,14 @@ const std::vector<AtomicityViolation> &StreamPipeline::violations() const {
 StreamSummary StreamPipeline::summary() const {
   StreamSummary S;
   S.Events = Events;
-  S.Races = races().size();
-  if (Seq)
+  if (Seq) {
+    S.Races = Seq->raceCount();
     S.DistinctRacyObjects = Seq->distinctRacyObjects();
-  S.MemoryRaces = memoryRaces().size();
-  if (FT)
+  }
+  if (FT) {
+    S.MemoryRaces = FT->raceCount();
     S.DistinctRacyVars = FT->distinctRacyVars();
+  }
   S.Violations = violations().size();
   return S;
 }

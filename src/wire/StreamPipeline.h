@@ -9,9 +9,11 @@
 /// EventSource (or receives them pushed as an EventSink from a live
 /// SimRuntime) and feeds them incrementally into a detector backend —
 /// the Algorithm 1 detector, the FastTrack baseline, or the online
-/// atomicity checker. Races are surfaced through an optional callback
-/// the moment the backend reports them, plus an end-of-stream summary.
-/// No Trace is ever materialized.
+/// atomicity checker. Races are streamed, not retained: after every batch
+/// (or pushed event) each new record goes to the optional callback and is
+/// then dropped, so the pipeline keeps only counters and the distinct
+/// racy objects/locations for the end-of-stream summary, and its memory
+/// does not grow with the race count. No Trace is ever materialized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,7 +86,10 @@ public:
 
   /// Invoked for every commutativity race as soon as the backend reports
   /// it (after the offending event for the per-event feed, after the
-  /// containing batch for the batched feed).
+  /// containing batch for the batched feed). The record is dropped once
+  /// the callback returns; copy it to keep it (records are
+  /// self-contained, see Race.h). Without a callback races are only
+  /// counted.
   void setRaceCallback(std::function<void(const CommutativityRace &)> Cb) {
     RaceCallback = std::move(Cb);
   }
@@ -123,7 +128,8 @@ public:
   /// per-object state (sequential; FastTrack and atomicity key state by
   /// variable/transaction and ignore it). Serving sessions
   /// call this for client die notices so long-lived streams keep the
-  /// detector footprint bounded. Races already found are retained.
+  /// detector footprint bounded. Races already found stay counted (their
+  /// records went to the callback when they were reported).
   void objectDied(ObjectId Obj);
 
   /// Memoization counters (zero unless run() drove the Full memo loop).
@@ -135,20 +141,19 @@ public:
   size_t batchFootprint() const { return PumpBatch.memoryFootprint(); }
 
   /// Hands any races not yet passed to the callbacks over; call once the
-  /// stream ends when events were pushed via onEvent(). Idempotent.
+  /// stream ends. Idempotent.
   void finish();
 
   size_t eventsProcessed() const { return Events; }
   StreamSummary summary() const;
 
-  /// Results of the selected backend (empty vectors otherwise). finish()
-  /// first when pushing events directly.
-  const std::vector<CommutativityRace> &races() const;
-  const std::vector<MemoryRace> &memoryRaces() const;
+  /// Atomicity violations (atomicity backend; empty otherwise). They have
+  /// no callback and are retained until the stream ends.
   const std::vector<AtomicityViolation> &violations() const;
 
   /// The sequential backend, or nullptr for other backends. Exposed so
-  /// callers (crd bench) can read the batched-kernel timing directly.
+  /// callers (crd bench) can read the batched-kernel timing directly. Its
+  /// races() holds no record between batches: the pipeline drains it.
   const CommutativityRaceDetector *sequentialDetector() const {
     return Seq.get();
   }
@@ -164,10 +169,11 @@ public:
                         const EventSource *Source = nullptr) const;
 
 private:
-  void drainNewRaces();
+  /// Hands every undrained record to its callback, then drops it.
+  void drainRaces();
   void tallyBatchKinds(const EventBatch &B);
-  /// processBatch() without the final clear(): counts, detects and hands
-  /// the batch's races to the callbacks.
+  /// processBatch() without the drain and the final clear(): counts and
+  /// detects.
   void detectBatch(const EventBatch &B);
   /// One step of the Full-memo chunk loop: replay a verified-repeat chunk
   /// whose summary footprint matches, decode + interpret + record
@@ -184,8 +190,6 @@ private:
   std::function<void(const CommutativityRace &)> RaceCallback;
   std::function<void(const MemoryRace &)> MemoryRaceCallback;
   size_t Events = 0;
-  size_t RacesSeen = 0; ///< Races already handed to the callback.
-  size_t MemoryRacesSeen = 0;
   /// Recycled pull batch shared by pump()'s loops, kept as a member so a
   /// resumable stream's many short pump rounds stay allocation-free.
   EventBatch PumpBatch;

@@ -62,7 +62,7 @@ void runWithMode(SimRuntime &RT, AnalysisMode Mode, RunResult &Result) {
     auto Start = Clock::now();
     RT.run(Sink);
     Result.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
-    Result.RacesTotal = Detector.races().size();
+    Result.RacesTotal = Detector.raceCount();
     Result.RacesDistinct = Detector.distinctRacyVars();
     break;
   }
@@ -73,7 +73,7 @@ void runWithMode(SimRuntime &RT, AnalysisMode Mode, RunResult &Result) {
     auto Start = Clock::now();
     RT.run(Sink);
     Result.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
-    Result.RacesTotal = Detector.races().size();
+    Result.RacesTotal = Detector.raceCount();
     Result.RacesDistinct = Detector.distinctRacyObjects();
     break;
   }

@@ -21,6 +21,7 @@
 #include "trace/Event.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "StreamedRaces.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -142,9 +143,11 @@ std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
   BinaryStreamSource Source(In, Diags);
   StreamPipeline Pipeline;
   Pipeline.setDefaultProvider(&dictRep());
+  testgen::StreamedRaces Got;
+  Got.collect(Pipeline);
   Pipeline.run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
-  return Pipeline.races();
+  return Got.Races;
 }
 
 TEST(ArenaTest, StreamPipelineSurvivesChunkResets) {

@@ -7,11 +7,15 @@
 #include "access/DictionaryRep.h"
 #include "detect/CommutativityDetector.h"
 #include "detect/DirectDetector.h"
+#include "support/EpochClock.h"
 #include "spec/Builtins.h"
 #include "trace/TraceBuilder.h"
 #include "translate/Translator.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <sstream>
 
 using namespace crd;
 
@@ -60,7 +64,7 @@ TEST(CommutativityDetectorTest, Fig3RaceDetected) {
     EXPECT_EQ(Detector.distinctRacyObjects(), 1u);
     const CommutativityRace &R = Detector.races().front();
     EXPECT_EQ(R.Current.method(), symbol("put"));
-    EXPECT_TRUE(R.PriorClock.concurrentWith(R.CurrentClock));
+    EXPECT_TRUE(R.PriorClock.toClock().concurrentWith(R.CurrentClock.toClock()));
   }
 }
 
@@ -74,7 +78,7 @@ TEST(CommutativityDetectorTest, WithoutJoinSizeRacesWithResize) {
   // Races: put/put on the key, and size against the fresh put's resize.
   ASSERT_EQ(Detector.races().size(), 2u);
   EXPECT_EQ(Detector.races()[1].Current.method(), symbol("size"));
-  EXPECT_EQ(Detector.races()[1].PointName, "o:resize");
+  EXPECT_EQ(Detector.races()[1].PointName.str(), "o:resize");
 }
 
 TEST(CommutativityDetectorTest, OverwriteDoesNotRaceWithSize) {
@@ -247,17 +251,155 @@ TEST(DirectDetectorTest, AgreesOnFig3) {
   EXPECT_EQ(Detector.races().size(), 2u);
 }
 
-TEST(RaceReportTest, Printing) {
+namespace {
+
+/// A put race on object 1 by thread 2 at event 3 against "o:w:k"; the
+/// printing cases below vary one part at a time.
+CommutativityRace sampleRace() {
   CommutativityRace R;
   R.EventIndex = 3;
   R.Thread = ThreadId(2);
   R.Current = Action(ObjectId(1), symbol("put"),
                      {Value::string("a.com"), Value::integer(7)}, Value::nil());
-  R.PointName = "o:w:k";
-  R.PriorClock = VectorClock({3, 0, 1});
-  R.CurrentClock = VectorClock({2, 1});
-  std::string S = R.toString();
-  EXPECT_NE(S.find("o:w:k"), std::string::npos);
-  EXPECT_NE(S.find("T2"), std::string::npos);
-  EXPECT_NE(S.find("<3,0,1>"), std::string::npos);
+  R.PointName = symbol("o:w:k");
+  R.PriorClock = RaceClock(VectorClock({3, 0, 1}));
+  R.CurrentClock = RaceClock(VectorClock({2, 1}));
+  return R;
+}
+
+/// \p R's report line through both entry points of the one formatter:
+/// toString() and operator<<, which must agree byte for byte and stay
+/// within the bound the formatter sizes its buffer by.
+std::string printed(const CommutativityRace &R) {
+  std::ostringstream OS;
+  OS << R;
+  EXPECT_EQ(OS.str(), R.toString());
+  EXPECT_LE(R.toString().size(), R.textBound());
+  return R.toString();
+}
+
+/// The epoch-compressed accumulated clock Time@Thread, as phase 2 builds
+/// it from one event of Thread.
+EpochClock epochAt(uint32_t Thread, uint32_t Time) {
+  VectorClock C;
+  C.set(ThreadId(Thread), Time);
+  EpochClock E;
+  E.accumulate(C, ThreadId(Thread));
+  return E;
+}
+
+} // namespace
+
+TEST(RaceReportTest, Printing) {
+  EXPECT_EQ(printed(sampleRace()),
+            "commutativity race at event 3: T2 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <3,0,1> || current <2,1>)");
+}
+
+TEST(RaceReportTest, PrintsEveryValueKind) {
+  CommutativityRace R = sampleRace();
+  R.Current = Action(
+      ObjectId(12), symbol("m"),
+      {Value::nil(), Value::boolean(true), Value::boolean(false),
+       Value::integer(-42),
+       Value::integer(std::numeric_limits<int64_t>::min())},
+      Value::integer(0));
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 3: T2 performs "
+            "o12.m(nil, true, false, -42, -9223372036854775808)/0 "
+            "conflicting on o:w:k (prior <3,0,1> || current <2,1>)");
+
+  // Strings escape exactly what the trace lexer unescapes.
+  R.Current = Action(ObjectId(1), symbol("put"),
+                     {Value::string("a\nb\tc"), Value::string("q\"d\\e")},
+                     Value::string(""));
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 3: T2 performs "
+            "o1.put(\"a\\nb\\tc\", \"q\\\"d\\\\e\")/\"\" "
+            "conflicting on o:w:k (prior <3,0,1> || current <2,1>)");
+  EXPECT_EQ(Value::string("q\"d\\e").toString(), "\"q\\\"d\\\\e\"");
+}
+
+TEST(RaceReportTest, PrintsActionShapes) {
+  CommutativityRace R = sampleRace();
+  R.Current = Action(ObjectId(4), symbol("size"), std::vector<Value>{},
+                     std::vector<Value>{});
+  EXPECT_EQ(printed(R), "commutativity race at event 3: T2 performs "
+                        "o4.size() conflicting on o:w:k "
+                        "(prior <3,0,1> || current <2,1>)");
+
+  R.Current = Action(ObjectId(4), symbol("swap"), {Value::integer(1)},
+                     std::vector<Value>{Value::integer(2), Value::nil(),
+                                        Value::string("x")});
+  EXPECT_EQ(printed(R), "commutativity race at event 3: T2 performs "
+                        "o4.swap(1)/2/nil/\"x\" conflicting on o:w:k "
+                        "(prior <3,0,1> || current <2,1>)");
+}
+
+TEST(RaceReportTest, PrintsClockShapes) {
+  CommutativityRace R = sampleRace();
+  R.EventIndex = 123456789012ull;
+  R.Thread = ThreadId(16);
+
+  // A bottom prior.
+  R.PriorClock = RaceClock::of(EpochClock());
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 123456789012: T16 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <> || current <2,1>)");
+
+  // Epoch priors print as EpochClock::toClock() does: Thread + 1
+  // components, zeros before the time — at thread 0, and at thread 9,
+  // past VectorClock's 8 inline components.
+  R.PriorClock = RaceClock::of(epochAt(0, 5));
+  EXPECT_EQ(R.PriorClock.toClock(), epochAt(0, 5).toClock());
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 123456789012: T16 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <5> || current <2,1>)");
+  R.PriorClock = RaceClock::of(epochAt(9, 4294967295u));
+  EXPECT_EQ(R.PriorClock.toClock(), epochAt(9, 4294967295u).toClock());
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 123456789012: T16 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <0,0,0,0,0,0,0,0,0,4294967295> || current <2,1>)");
+
+  // An escalated prior: two unordered accumulations.
+  EpochClock Escalated = epochAt(9, 4);
+  Escalated.accumulate(VectorClock({0, 0, 7}), ThreadId(2));
+  ASSERT_TRUE(Escalated.isShared());
+  R.PriorClock = RaceClock::of(Escalated);
+  EXPECT_EQ(R.PriorClock.toClock(), Escalated.toClock());
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 123456789012: T16 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <0,0,7,0,0,0,0,0,0,4> || current <2,1>)");
+
+  // A 17-component current clock.
+  std::vector<uint32_t> Wide(17);
+  for (uint32_t I = 0; I != 17; ++I)
+    Wide[I] = I * 3;
+  R.CurrentClock = RaceClock(VectorClock(Wide));
+  EXPECT_EQ(printed(R),
+            "commutativity race at event 123456789012: T16 performs "
+            "o1.put(\"a.com\", 7)/nil conflicting on o:w:k "
+            "(prior <0,0,7,0,0,0,0,0,0,4> || current "
+            "<0,3,6,9,12,15,18,21,24,27,30,33,36,39,42,45,48>)");
+
+  // Records compare by value: an epoch equals the snapshot of its clock.
+  EXPECT_EQ(RaceClock::of(epochAt(9, 4)),
+            RaceClock(VectorClock({0, 0, 0, 0, 0, 0, 0, 0, 0, 4})));
+  EXPECT_NE(RaceClock::of(epochAt(9, 4)), RaceClock::of(epochAt(8, 4)));
+}
+
+TEST(RaceReportTest, PrintsDirectDetectorRace) {
+  DirectCommutativityDetector Detector;
+  Detector.setDefaultSpec(&dictionarySpec());
+  Detector.processTrace(fig3Trace(/*WithJoin=*/true));
+  ASSERT_EQ(Detector.races().size(), 1u);
+  EXPECT_EQ(printed(Detector.races()[0]),
+            "commutativity race at event 3: T1 performs "
+            "o1.put(\"a.com\", 20)/10 conflicting on action "
+            "o1.put(\"a.com\", 10)/nil (prior <2,0,1> || current <1,1>)");
 }

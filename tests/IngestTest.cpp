@@ -29,6 +29,7 @@
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "StreamedRaces.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -224,6 +225,8 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
         wire::PipelineOptions POpts;
         wire::StreamPipeline Live(POpts);
         Live.setDefaultProvider(&dictRep());
+        testgen::StreamedRaces LiveRaces;
+        LiveRaces.collect(Live);
         std::ostringstream WireBuf;
         wire::WireWriter Writer(WireBuf);
         S.setPipeline(&Live);
@@ -247,6 +250,8 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
         wire::BinaryStreamSource Src(In, Diags);
         wire::StreamPipeline Replayed(POpts);
         Replayed.setDefaultProvider(&dictRep());
+        testgen::StreamedRaces ReplayedRaces;
+        ReplayedRaces.collect(Replayed);
         wire::StreamSummary Sum = Replayed.run(Src);
         ASSERT_FALSE(Src.failed()) << Diags.toString();
 
@@ -256,7 +261,7 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
                      << (Policy == BackpressurePolicy::Block ? "block"
                                                              : "drop"));
         EXPECT_EQ(Sum.Events, S.eventsCollected());
-        EXPECT_EQ(Replayed.races(), Live.races());
+        EXPECT_EQ(ReplayedRaces.Races, LiveRaces.Races);
         // Every script op emits exactly one event, so Block is lossless
         // at exactly Producers × Ops.
         if (Policy == BackpressurePolicy::Block) {
@@ -488,6 +493,7 @@ TEST(IngestTest, ProcessBatchMatchesRun) {
   wire::PipelineOptions POpts;
 
   std::unique_ptr<wire::StreamPipeline> Pulled;
+  testgen::StreamedRaces PulledRaces;
   {
     std::ostringstream OS;
     wire::WireWriter W(OS);
@@ -498,11 +504,14 @@ TEST(IngestTest, ProcessBatchMatchesRun) {
     wire::BinaryStreamSource Src(In, Diags);
     Pulled = std::make_unique<wire::StreamPipeline>(POpts);
     Pulled->setDefaultProvider(&dictRep());
+    PulledRaces.collect(*Pulled);
     Pulled->run(Src);
   }
 
   wire::StreamPipeline Pushed(POpts);
   Pushed.setDefaultProvider(&dictRep());
+  testgen::StreamedRaces PushedRaces;
+  PushedRaces.collect(Pushed);
   EventBatch B;
   for (size_t I = 0; I != T.size(); ++I) {
     B.append(T[I]);
@@ -510,7 +519,7 @@ TEST(IngestTest, ProcessBatchMatchesRun) {
       Pushed.processBatch(B); // Returns B empty, buffers warm.
   }
   Pushed.finish();
-  EXPECT_EQ(Pushed.races(), Pulled->races());
+  EXPECT_EQ(PushedRaces.Races, PulledRaces.Races);
   EXPECT_EQ(Pushed.eventsProcessed(), T.size());
 }
 

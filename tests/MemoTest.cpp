@@ -25,6 +25,7 @@
 #include "wire/WireReader.h"
 #include "wire/WireWriter.h"
 #include "workloads/RepetitiveTrace.h"
+#include "StreamedRaces.h"
 
 #include <gtest/gtest.h>
 
@@ -73,10 +74,12 @@ AnalyzeResult analyzeWire(const std::string &Wire, PipelineOptions Opts) {
   BinaryStreamSource Source(In, Diags);
   StreamPipeline P(Opts);
   P.setDefaultProvider(Rep.get());
+  testgen::StreamedRaces Got;
+  Got.collect(P);
   AnalyzeResult R;
   R.Summary = P.run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
-  R.Races = P.races();
+  R.Races = std::move(Got.Races);
   R.Memo = P.memoStats();
   R.Reader = Source.reader().stats();
   return R;
@@ -284,6 +287,7 @@ TEST(MemoTest, RepetitiveTraceCountsPinned) {
 
   AnalyzeResult Off = analyzeWire(Wire, PipelineOptions{});
   EXPECT_EQ(Off.Summary.Races, 752u);
+  EXPECT_EQ(Off.Races.size(), 752u);
   EXPECT_EQ(Off.Reader.MemoHits, 0u);
   PipelineOptions FullOpts;
   FullOpts.Memo = MemoMode::Full;

@@ -24,6 +24,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Session.h"
+#include "trace/TraceBuilder.h"
 #include "wire/WireWriter.h"
 #include "Cli.h"
 #include "CliInternal.h"
@@ -340,6 +341,39 @@ TEST(ServeTest, DieNoticesAreCountedAndKeepFindingsIdentical) {
     return Out;
   };
   EXPECT_EQ(RacesOf(Reply), RacesOf(Baseline));
+}
+
+TEST(ServeTest, RaceLineRendersAndEscapesTheReport) {
+  // A quoted string value exercises both text layers: the report escapes
+  // the value as the trace lexer reads it, and the reply line JSON-escapes
+  // the report. The prior is the epoch of T2's put.
+  Value Key = Value::string("a\"b\\c\td");
+  TraceBuilder TB;
+  TB.fork(0, 1).fork(0, 2);
+  TB.invoke(2, 1, "put", {Key, Value::integer(100)}, Value::nil());
+  TB.invoke(1, 1, "put", {Key, Value::integer(200)}, Value::integer(100));
+  std::ostringstream OS;
+  wire::WireWriter Writer(OS);
+  Writer.writeTrace(TB.take());
+  Writer.finish();
+
+  auto Rep = loadDictionary();
+  serve::Session S(1, serve::SessionLimits(), Rep.get(), false);
+  std::string Reply = runDirect(
+      S, std::string(serve::ProtocolTag) + "\n" +
+             frame(serve::FrameType::Wire, OS.str()) +
+             frame(serve::FrameType::End, ""));
+  std::vector<std::string> RaceLines;
+  std::istringstream Lines(Reply);
+  for (std::string Line; std::getline(Lines, Line);)
+    if (Line.find("\"type\":\"race\"") != std::string::npos)
+      RaceLines.push_back(Line);
+  ASSERT_EQ(RaceLines.size(), 1u) << Reply;
+  EXPECT_EQ(RaceLines[0],
+            R"x({"type":"race","index":0,"text":"commutativity race at event )x"
+            R"x(3: T1 performs o1.put(\"a\\\"b\\\\c\\td\", 200)/100 conflicting )x"
+            R"x(on put{!(x2 == x3),!(nil == x2),!(nil == x3)}:1 (prior <0,0,1> )x"
+            R"x(|| current <1,1>)"})x");
 }
 
 TEST(ServeTest, ArbitrarySlicingReassemblesChunks) {

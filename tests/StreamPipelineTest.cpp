@@ -25,10 +25,12 @@
 #include "trace/TraceIO.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "StreamedRaces.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -51,15 +53,18 @@ std::string encodeWire(const Trace &T) {
 }
 
 /// Runs \p Opts over the binary encoding of \p T and returns the summary;
-/// the pipeline itself is returned through \p Out for result inspection.
+/// the pipeline itself is returned through \p Out for result inspection,
+/// and the records it streamed through \p Got.
 StreamSummary runBinary(const Trace &T, PipelineOptions Opts,
-                        std::unique_ptr<StreamPipeline> &Out) {
+                        std::unique_ptr<StreamPipeline> &Out,
+                        testgen::StreamedRaces &Got) {
   std::string Bytes = encodeWire(T);
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
   BinaryStreamSource Source(In, Diags);
   Out = std::make_unique<StreamPipeline>(Opts);
   Out->setDefaultProvider(&dictRep());
+  Got.collect(*Out);
   StreamSummary S = Out->run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
   return S;
@@ -88,11 +93,12 @@ TEST(StreamPipelineTest, SequentialBinaryMatchesMaterialized) {
     Reference.processTrace(T);
 
     std::unique_ptr<StreamPipeline> P;
-    StreamSummary S = runBinary(T, {Backend::Sequential}, P);
+    testgen::StreamedRaces Got;
+    StreamSummary S = runBinary(T, {Backend::Sequential}, P, Got);
 
     EXPECT_EQ(S.Events, T.size());
     EXPECT_EQ(S.Races, Reference.races().size());
-    expectRacesIdentical(P->races(), Reference.races());
+    expectRacesIdentical(Got.Races, Reference.races());
   }
 }
 
@@ -105,15 +111,18 @@ TEST(StreamPipelineTest, TextSourceMatchesBinarySource) {
   TextStreamSource TextSource(TextIn, Diags);
   StreamPipeline TextP({Backend::Sequential});
   TextP.setDefaultProvider(&dictRep());
+  testgen::StreamedRaces TextGot;
+  TextGot.collect(TextP);
   StreamSummary TextS = TextP.run(TextSource);
   EXPECT_FALSE(TextSource.failed()) << Diags.toString();
 
   std::unique_ptr<StreamPipeline> BinP;
-  StreamSummary BinS = runBinary(T, {Backend::Sequential}, BinP);
+  testgen::StreamedRaces BinGot;
+  StreamSummary BinS = runBinary(T, {Backend::Sequential}, BinP, BinGot);
 
   EXPECT_EQ(TextS.Events, BinS.Events);
   EXPECT_EQ(TextS.Races, BinS.Races);
-  expectRacesIdentical(TextP.races(), BinP->races());
+  expectRacesIdentical(TextGot.Races, BinGot.Races);
 }
 
 TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
@@ -123,6 +132,10 @@ TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
   DiagnosticEngine Diags;
   BinaryStreamSource Source(In, Diags);
 
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  Reference.processTrace(T);
+
   StreamPipeline P({Backend::Sequential});
   P.setDefaultProvider(&dictRep());
   std::vector<CommutativityRace> Seen;
@@ -130,8 +143,134 @@ TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
   StreamSummary S = P.run(Source);
 
   EXPECT_EQ(Seen.size(), S.Races);
-  expectRacesIdentical(Seen, P.races());
+  expectRacesIdentical(Seen, Reference.races());
   EXPECT_GT(S.Races, 0u) << "seed produced no races; pick another seed";
+}
+
+//===----------------------------------------------------------------------===//
+// Retention: the pipeline streams its records and keeps none
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Pulls \p T at most \p Batch events at a time and counts the pulls that
+/// found an undrained record in the pipeline's detector: the pipeline
+/// pulls again only after it finished the previous batch.
+class SmallBatchSource : public EventSource {
+public:
+  SmallBatchSource(const Trace &T, size_t Batch, const StreamPipeline &P)
+      : Inner(T), Batch(Batch), P(P) {}
+
+  bool next(Event &E) override { return Inner.next(E); }
+  size_t nextBatch(EventBatch &B, size_t MaxEvents) override {
+    ++Pulls;
+    if (!P.sequentialDetector()->races().empty())
+      ++PullsWithRecords;
+    return EventSource::nextBatch(B, std::min(MaxEvents, Batch));
+  }
+
+  size_t Pulls = 0;
+  size_t PullsWithRecords = 0;
+
+private:
+  TraceSource Inner;
+  size_t Batch;
+  const StreamPipeline &P;
+};
+
+/// Sizes and spread of the clocks in \p Races: the widest current clock,
+/// and whether some prior came from an escalated point (an epoch has one
+/// nonzero component, an escalated clock at least two).
+struct ClockShape {
+  size_t WidestCurrent = 0;
+  bool EscalatedPrior = false;
+};
+
+ClockShape clockShape(const std::vector<CommutativityRace> &Races) {
+  ClockShape Shape;
+  for (const CommutativityRace &R : Races) {
+    Shape.WidestCurrent = std::max(Shape.WidestCurrent, R.CurrentClock.size());
+    size_t Nonzero = 0;
+    for (size_t I = 0; I != R.PriorClock.size(); ++I)
+      Nonzero += R.PriorClock[I] != 0;
+    Shape.EscalatedPrior |= Nonzero >= 2;
+  }
+  return Shape;
+}
+
+} // namespace
+
+TEST(StreamPipelineTest, PipelineKeepsNoRecordBetweenBatches) {
+  // 12 workers: 13-component clocks (past VectorClock's 8 inline ones),
+  // and enough concurrency that accumulated points escalate.
+  Trace T = testgen::randomTrace(31, 12, 40, 5);
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  for (const Event &E : T)
+    Reference.process(E);
+  ASSERT_GT(Reference.races().size(), 0u) << "seed produced no races";
+  ClockShape Shape = clockShape(Reference.races());
+  EXPECT_GT(Shape.WidestCurrent, 8u);
+  EXPECT_TRUE(Shape.EscalatedPrior) << "no escalated prior; pick another seed";
+
+  auto expectSummaryMatches = [&](const StreamPipeline &P) {
+    StreamSummary S = P.summary();
+    EXPECT_EQ(S.Races, Reference.raceCount());
+    EXPECT_EQ(S.DistinctRacyObjects, Reference.distinctRacyObjects());
+  };
+
+  for (size_t Batch : {1, 3, 16}) {
+    SCOPED_TRACE(::testing::Message() << "batch=" << Batch);
+    {
+      // Pull.
+      StreamPipeline P({Backend::Sequential});
+      P.setDefaultProvider(&dictRep());
+      testgen::StreamedRaces Got;
+      Got.collect(P);
+      SmallBatchSource Source(T, Batch, P);
+      P.run(Source);
+      EXPECT_GT(Source.Pulls, T.size() / Batch);
+      EXPECT_EQ(Source.PullsWithRecords, 0u);
+      EXPECT_TRUE(P.sequentialDetector()->races().empty());
+      expectRacesIdentical(Got.Races, Reference.races());
+      expectSummaryMatches(P);
+    }
+    {
+      // Push.
+      StreamPipeline P({Backend::Sequential});
+      P.setDefaultProvider(&dictRep());
+      testgen::StreamedRaces Got;
+      Got.collect(P);
+      EventBatch B;
+      size_t NonEmpty = 0;
+      for (size_t I = 0; I != T.size(); ++I) {
+        B.append(T[I]);
+        if (B.size() == Batch || I + 1 == T.size()) {
+          P.processBatch(B);
+          NonEmpty += !P.sequentialDetector()->races().empty();
+        }
+      }
+      P.finish();
+      EXPECT_EQ(NonEmpty, 0u);
+      expectRacesIdentical(Got.Races, Reference.races());
+      expectSummaryMatches(P);
+    }
+  }
+
+  // The per-event feed drains after every event.
+  StreamPipeline P({Backend::Sequential});
+  P.setDefaultProvider(&dictRep());
+  testgen::StreamedRaces Got;
+  Got.collect(P);
+  size_t NonEmpty = 0;
+  for (const Event &E : T) {
+    P.onEvent(E);
+    NonEmpty += !P.sequentialDetector()->races().empty();
+  }
+  P.finish();
+  EXPECT_EQ(NonEmpty, 0u);
+  expectRacesIdentical(Got.Races, Reference.races());
+  expectSummaryMatches(P);
 }
 
 //===----------------------------------------------------------------------===//
@@ -191,8 +330,8 @@ Trace allSyncTrace() {
 }
 
 /// Feeds \p T to StreamPipeline::processBatch in hand-cut batches of
-/// every size under test and expects the full race structs — both the
-/// pipeline's report and what its callback saw — to equal those of
+/// every size under test and expects the full race structs its callback
+/// saw, and the race count, to equal those of
 /// CommutativityRaceDetector::process() fed event by event. Returns the
 /// reference race count so callers can assert the trace was non-trivial.
 size_t expectBatchedMatchesPerEvent(const Trace &T) {
@@ -205,9 +344,8 @@ size_t expectBatchedMatchesPerEvent(const Trace &T) {
     SCOPED_TRACE(::testing::Message() << "batch=" << Batch);
     StreamPipeline P({Backend::Sequential});
     P.setDefaultProvider(&dictRep());
-    std::vector<CommutativityRace> Seen;
-    P.setRaceCallback(
-        [&Seen](const CommutativityRace &R) { Seen.push_back(R); });
+    testgen::StreamedRaces Got;
+    Got.collect(P);
     EventBatch B;
     for (size_t I = 0; I != T.size(); ++I) {
       B.append(T[I]);
@@ -217,8 +355,8 @@ size_t expectBatchedMatchesPerEvent(const Trace &T) {
     P.finish();
 
     EXPECT_EQ(P.eventsProcessed(), T.size());
-    expectRacesIdentical(P.races(), Reference.races());
-    expectRacesIdentical(Seen, Reference.races());
+    EXPECT_EQ(P.summary().Races, Reference.races().size());
+    expectRacesIdentical(Got.Races, Reference.races());
   }
   return Reference.races().size();
 }
@@ -258,27 +396,15 @@ TEST(StreamPipelineTest, FastTrackBinaryMatchesMaterialized) {
   Reference.processTrace(T);
 
   std::unique_ptr<StreamPipeline> P;
-  size_t Callbacks = 0;
-  std::string Bytes = encodeWire(T);
-  std::istringstream In(Bytes);
-  DiagnosticEngine Diags;
-  BinaryStreamSource Source(In, Diags);
-  P = std::make_unique<StreamPipeline>(PipelineOptions{Backend::FastTrack});
-  P->setMemoryRaceCallback([&Callbacks](const MemoryRace &) { ++Callbacks; });
-  StreamSummary S = P->run(Source);
+  testgen::StreamedRaces Got;
+  StreamSummary S = runBinary(T, {Backend::FastTrack}, P, Got);
 
   EXPECT_EQ(S.MemoryRaces, Reference.races().size());
-  EXPECT_EQ(Callbacks, Reference.races().size());
-  ASSERT_EQ(P->memoryRaces().size(), Reference.races().size());
-  for (size_t I = 0; I != Reference.races().size(); ++I) {
-    const MemoryRace &A = P->memoryRaces()[I];
-    const MemoryRace &B = Reference.races()[I];
-    EXPECT_EQ(A.EventIndex, B.EventIndex) << "race " << I;
-    EXPECT_EQ(A.Var, B.Var) << "race " << I;
-    EXPECT_EQ(A.Access, B.Access) << "race " << I;
-    EXPECT_EQ(A.PriorThread, B.PriorThread) << "race " << I;
-    EXPECT_EQ(A.CurrentThread, B.CurrentThread) << "race " << I;
-  }
+  ASSERT_EQ(Got.MemoryRaces.size(), Reference.races().size());
+  for (size_t I = 0; I != Reference.races().size(); ++I)
+    EXPECT_TRUE(Got.MemoryRaces[I] == Reference.races()[I])
+        << "race " << I << ":\n  " << Got.MemoryRaces[I].toString() << "\n  "
+        << Reference.races()[I].toString();
 }
 
 //===----------------------------------------------------------------------===//
@@ -306,7 +432,8 @@ TEST(StreamPipelineTest, AtomicityBinaryMatchesMaterialized) {
   Reference.processTrace(T);
 
   std::unique_ptr<StreamPipeline> P;
-  StreamSummary S = runBinary(T, {Backend::Atomicity}, P);
+  testgen::StreamedRaces Got;
+  StreamSummary S = runBinary(T, {Backend::Atomicity}, P, Got);
 
   EXPECT_EQ(S.Violations, Reference.violations().size());
   ASSERT_EQ(P->violations().size(), Reference.violations().size());
@@ -352,12 +479,14 @@ TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
 
   StreamPipeline P({Backend::Sequential});
   P.setDefaultProvider(&dictRep());
+  testgen::StreamedRaces Got;
+  Got.collect(P);
   runInto(P);
   P.finish();
 
   EXPECT_EQ(P.eventsProcessed(), Recorder.trace().size());
-  expectRacesIdentical(P.races(), Reference.races());
-  EXPECT_GT(P.races().size(), 0u) << "expected a put/put race";
+  expectRacesIdentical(Got.Races, Reference.races());
+  EXPECT_GT(Got.Races.size(), 0u) << "expected a put/put race";
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,11 +496,12 @@ TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
 TEST(StreamPipelineTest, SummaryCountsDistinctObjects) {
   Trace T = testgen::randomTrace(2, 4, 40, 6);
   std::unique_ptr<StreamPipeline> P;
-  StreamSummary S = runBinary(T, {Backend::Sequential}, P);
+  testgen::StreamedRaces Got;
+  StreamSummary S = runBinary(T, {Backend::Sequential}, P, Got);
 
   std::set<uint32_t> Objects;
-  for (const CommutativityRace &R : P->races())
+  for (const CommutativityRace &R : Got.Races)
     Objects.insert(R.Current.object().index());
   EXPECT_EQ(S.DistinctRacyObjects, Objects.size());
-  EXPECT_EQ(S.clean(), P->races().empty());
+  EXPECT_EQ(S.clean(), Got.Races.empty());
 }

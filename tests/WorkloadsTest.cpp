@@ -283,7 +283,7 @@ TEST(SummaryTest, GroupsAndSorts) {
     R.Thread = ThreadId(1);
     R.Current = Action(ObjectId(Obj), symbol(Method),
                        {Value::integer(1)}, Value::nil());
-    R.PointName = Point;
+    R.PointName = symbol(Point);
     return R;
   };
   Races.push_back(MakeRace(7, 10, "o:w:k", "put"));

@@ -18,6 +18,7 @@
 #include "trace/TraceStats.h"
 #include "translate/Translator.h"
 #include "support/Metrics.h"
+#include "support/TextRender.h"
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireReader.h"
@@ -216,12 +217,17 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   wire::StreamPipeline Pipeline(Opts);
   if (Rep)
     Pipeline.setDefaultProvider(Rep.get());
+  // Each report line is rendered into one reused buffer and written once.
+  std::string Line;
+  auto PrintRace = [&Out, &Line](const auto &R) {
+    Line.assign("race: ");
+    text::append(Line, R);
+    Line += '\n';
+    Out.write(Line.data(), static_cast<std::streamsize>(Line.size()));
+  };
   if (!Quiet) {
-    Pipeline.setRaceCallback([&Out](const CommutativityRace &R) {
-      Out << "race: " << R << '\n';
-    });
-    Pipeline.setMemoryRaceCallback(
-        [&Out](const MemoryRace &R) { Out << "race: " << R << '\n'; });
+    Pipeline.setRaceCallback(PrintRace);
+    Pipeline.setMemoryRaceCallback(PrintRace);
   }
   wire::StreamSummary Summary = Pipeline.run(*Source);
 
@@ -720,7 +726,7 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
 
   TraceStats::compute(T).print(Out);
   Out << '\n';
-  Out << "commutativity races (" << CRaces.size() << " total, "
+  Out << "commutativity races (" << RD2.raceCount() << " total, "
       << RD2.distinctRacyObjects() << " distinct objects):\n";
   for (const CommutativityRace &R : CRaces)
     Out << "  " << R << '\n';
@@ -729,7 +735,7 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
     RaceSummary::build(CRaces).print(Out);
   }
 
-  Out << "\nread-write races (" << FT.races().size() << " total, "
+  Out << "\nread-write races (" << FT.raceCount() << " total, "
       << FT.distinctRacyVars() << " distinct locations):\n";
   for (const MemoryRace &R : FT.races())
     Out << "  " << R << '\n';

@@ -259,9 +259,15 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
   }
 
   std::optional<wire::StreamPipeline> Pipeline;
+  // The pipeline streams its races and keeps none; --verify-replay
+  // collects the live ones here to compare with the replay's.
+  std::vector<CommutativityRace> LiveRaces;
   if (Detect) {
     Pipeline.emplace();
     Pipeline->setDefaultProvider(Rep.get());
+    if (VerifyReplay)
+      Pipeline->setRaceCallback(
+          [&LiveRaces](const CommutativityRace &R) { LiveRaces.push_back(R); });
   }
   // The wire sink encodes into memory; --out persists the bytes and
   // --verify-replay decodes them back. Sized by the stress: ~4 bytes per
@@ -371,6 +377,10 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
     wire::BinaryStreamSource Src(In, Diags);
     wire::StreamPipeline Replayed;
     Replayed.setDefaultProvider(Rep.get());
+    std::vector<CommutativityRace> ReplayedRaces;
+    Replayed.setRaceCallback([&ReplayedRaces](const CommutativityRace &R) {
+      ReplayedRaces.push_back(R);
+    });
     wire::StreamSummary Sum = Replayed.run(Src);
     if (Src.failed()) {
       Err << "replay: recorded wire stream is malformed:\n"
@@ -378,12 +388,12 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
       return ExitFindings;
     }
     bool EventsMatch = Sum.Events == M.EventsCollected;
-    bool RacesMatch = Replayed.races() == Pipeline->races();
+    bool RacesMatch = ReplayedRaces == LiveRaces;
     if (EventsMatch && RacesMatch) {
       Out << "replay identical: yes (" << Sum.Events << " events, "
           << Sum.Races << " races)\n";
     } else {
-      Out << "replay identical: NO — live " << Pipeline->races().size()
+      Out << "replay identical: NO — live " << LiveRaces.size()
           << " races / " << M.EventsCollected << " events vs replay "
           << Sum.Races << " races / " << Sum.Events << " events\n";
       return ExitFindings;
