@@ -453,10 +453,8 @@ size_t Session::footprintBytes() const {
   size_t Bytes = Pending.size() + WireBuf.size() + Queue.capacityBytes();
   if (Pipeline)
     Bytes += Pipeline->batchFootprint();
-  if (Source) {
-    wire::WireReaderStats RS = Source->reader().stats();
-    Bytes += RS.ArenaPeakBytes + RS.MemoCacheBytes;
-  }
+  if (Source)
+    Bytes += Source->reader().stats().MemoCacheBytes;
   return Bytes;
 }
 

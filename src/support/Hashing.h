@@ -12,8 +12,10 @@
 #ifndef CRD_SUPPORT_HASHING_H
 #define CRD_SUPPORT_HASHING_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 namespace crd {
@@ -46,16 +48,17 @@ inline uint64_t hashMix64(uint64_t X) {
 /// splitmix64 finalizer. Unlike std::hash, the result is pinned by this
 /// definition — it must stay stable across processes, library versions and
 /// writer runs, because the wire format records it in chunk headers and
-/// readers key decode/summary caches by it (docs/trace-format.md).
+/// readers key the chunk memo by it (docs/trace-format.md).
 inline uint64_t hashBytes64(const void *Data, size_t Size) {
   const unsigned char *P = static_cast<const unsigned char *>(Data);
   uint64_t H = 0x2545f4914f6cdd1dULL ^ (uint64_t(Size) * 0x9e3779b97f4a7c15ULL);
   size_t I = 0;
   for (; I + 8 <= Size; I += 8) {
-    uint64_t W = 0;
-    // Byte-wise little-endian load: identical on every host endianness.
-    for (unsigned B = 0; B != 8; ++B)
-      W |= uint64_t(P[I + B]) << (8 * B);
+    // One word load, read little-endian: identical on every host.
+    uint64_t W;
+    std::memcpy(&W, P + I, 8);
+    if constexpr (std::endian::native == std::endian::big)
+      W = __builtin_bswap64(W);
     H = (H ^ hashMix64(W)) * 0xff51afd7ed558ccdULL;
   }
   uint64_t Tail = 0;

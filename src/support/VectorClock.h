@@ -28,14 +28,10 @@
 // pattern: the scalar variants are always compiled (and differentially
 // tested against the SIMD ones), and CRD_DISABLE_SIMD forces them
 // everywhere. SSE2 has no unsigned 32-bit max/compare, so the kernels bias
-// by 0x80000000 to map unsigned order onto signed compares; SSE4.1 builds
-// use _mm_max_epu32 directly.
+// by 0x80000000 to map unsigned order onto signed compares.
 #if defined(__SSE2__) && !defined(CRD_DISABLE_SIMD)
 #define CRD_VECTORCLOCK_HAVE_SSE2 1
 #include <emmintrin.h>
-#if defined(__SSE4_1__)
-#include <smmintrin.h>
-#endif
 #endif
 
 namespace crd {
@@ -91,15 +87,11 @@ public:
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(Dst + I));
         __m128i B =
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(Src + I));
-#if defined(__SSE4_1__)
-        __m128i M = _mm_max_epu32(A, B);
-#else
         const __m128i Bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
         __m128i BGtA = _mm_cmpgt_epi32(_mm_xor_si128(B, Bias),
                                        _mm_xor_si128(A, Bias));
         __m128i M = _mm_or_si128(_mm_and_si128(BGtA, B),
                                  _mm_andnot_si128(BGtA, A));
-#endif
         Grew = _mm_or_si128(Grew, _mm_xor_si128(M, A));
         _mm_storeu_si128(reinterpret_cast<__m128i *>(Dst + I), M);
       }

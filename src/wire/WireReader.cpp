@@ -302,6 +302,8 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
     B.appendPinned(std::move(E));
     ++Decoded;
   }
+  if (metrics::Enabled && B.Values.bytesUsed() > ArenaPeak)
+    ArenaPeak = B.Values.bytesUsed();
   return Decoded;
 }
 

@@ -59,7 +59,8 @@ struct WireReaderStats {
   uint64_t DigestErrors = 0;     ///< Chunk-header digest mismatches.
   uint64_t PayloadBytes = 0;     ///< Chunk payload bytes read (ex-headers).
   uint64_t Symbols = 0;          ///< Symbol-table entries across all chunks.
-  uint64_t ArenaPeakBytes = 0;   ///< Peak per-chunk value-arena footprint.
+  uint64_t ArenaPeakBytes = 0;   ///< Peak bytes in the value arena decoded
+                                 ///< into (per chunk, or per pulled batch).
   uint64_t MemoHits = 0;         ///< beginChunk(): verified repeats.
   uint64_t MemoMisses = 0;       ///< beginChunk(): all other chunks.
   uint64_t MemoBytesSaved = 0;   ///< Payload bytes skipped undecoded.

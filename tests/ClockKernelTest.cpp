@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Differential tests for the vector-clock join/leq kernels: the dispatched
-/// operations (SSE2/SSE4.1 on hosts that have them, the scalar reference in
+/// operations (SSE2 on hosts that have it, the scalar reference in
 /// a CRD_DISABLE_SIMD build) must be bit-identical to the always-compiled
 /// scalar twins — same resulting components, same Changed/leq answer —
 /// across every width mod the 4-lane group size, the SmallVec inline/heap

@@ -368,6 +368,11 @@ TEST(MemoTest, CliMemoSurface) {
         << Json;
     uint64_t RepeatHits = snapshotCounter(Json, "memo_hits");
     uint64_t SummaryHits = snapshotCounter(Json, "summary_hits");
+    // Interpreted chunks decode invoke values into the pull batch's arena,
+    // and the reader reports that arena's high-water mark.
+    if (metrics::Enabled) {
+      EXPECT_GT(snapshotCounter(Json, "arena_peak_bytes"), 0u);
+    }
     if (Mode == "off") {
       EXPECT_EQ(RepeatHits, 0u);
       EXPECT_EQ(SummaryHits, 0u);

@@ -10,7 +10,9 @@
 /// event and through the memo chunk API) and scanWire over the result. The
 /// decoder must always terminate with either a clean stream or a
 /// diagnostic — never crash, hang, or trip UB (run under the asan preset;
-/// this target is also registered as `wire-fuzz`).
+/// this target is also registered as `wire-fuzz`). Single-bit flips inside
+/// payloads long enough to reach the CRC fold must each be caught by the
+/// chunk CRC.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +106,48 @@ TEST(WireFuzzTest, SingleByteFlipsEverywhere) {
       std::string Mutated = Base;
       Mutated[I] ^= static_cast<char>(1 << Bit);
       mustSurvive(Mutated);
+    }
+  }
+}
+
+TEST(WireFuzzTest, SingleBitFlipsThroughTheCrcFold) {
+  // The base above keeps every payload under 64 bytes, where crc32() is
+  // the table loop alone. Payloads of 200-600 bytes also run the fold's
+  // 64-byte loop, its 16-byte fold and a table tail. CRC-32 detects every
+  // single-bit error, so each flip inside a payload must fail the CRC
+  // check, and fail nothing else first: a miss is a kernel bug.
+  Trace T = testgen::randomTrace(5, 2, 40, 6, /*Maps=*/1);
+  std::string Base = encodeWire(T, (T.size() + 2) / 3);
+  std::istringstream ScanIn(Base);
+  DiagnosticEngine ScanDiags;
+  std::optional<WireFileInfo> Info = scanWire(ScanIn, ScanDiags);
+  ASSERT_TRUE(Info.has_value()) << ScanDiags.toString();
+  ASSERT_EQ(Info->Chunks.size(), 3u);
+  for (const WireChunkInfo &Chunk : Info->Chunks) {
+    ASSERT_GE(Chunk.PayloadBytes, 200u);
+    ASSERT_LE(Chunk.PayloadBytes, 600u);
+    ASSERT_NE(Chunk.PayloadBytes % 16, 0u) << "no table tail";
+    size_t Begin = Chunk.Offset + DigestChunkHeaderSize;
+    for (size_t I = Begin; I != Begin + Chunk.PayloadBytes; ++I) {
+      for (int Bit = 0; Bit != 8; ++Bit) {
+        std::string Mutated = Base;
+        Mutated[I] ^= static_cast<char>(1 << Bit);
+        mustSurvive(Mutated);
+        std::istringstream In(Mutated);
+        DiagnosticEngine Diags;
+        WireReader Reader(In, Diags);
+        Event E = Event::txBegin(ThreadId(0));
+        while (Reader.next(E)) {
+        }
+        SCOPED_TRACE(testing::Message() << "byte " << I << " bit " << Bit);
+        ASSERT_TRUE(Reader.failed());
+        if (metrics::Enabled) {
+          EXPECT_EQ(Reader.stats().CrcErrors, 1u);
+        }
+        EXPECT_NE(Diags.toString().find("chunk CRC mismatch"),
+                  std::string::npos)
+            << Diags.toString();
+      }
     }
   }
 }

@@ -9,6 +9,9 @@
 ///   * text→binary→text round-trips are identical event-for-event (string
 ///     escapes, multi-return values, nil/bool values, negative integers),
 ///     over hand-built and randomized traces and across chunk sizes;
+///   * the chunk CRC-32 and content digest keep their pinned values, and
+///     the PCLMULQDQ fold and the word-load digest equal their byte-at-a-
+///     time references at every length and alignment;
 ///   * WireReader rejects truncated chunks, corrupted payloads (bad CRC),
 ///     bad magic and unknown versions with a diagnostic, never a crash;
 ///   * scanWire reports the chunk shape without decoding events;
@@ -26,6 +29,8 @@
 #include "spec/Builtins.h"
 #include "trace/TraceIO.h"
 #include "translate/Translator.h"
+#include "support/Hashing.h"
+#include "wire/Crc32.h"
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
 #include "wire/Varint.h"
@@ -37,7 +42,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <vector>
 
 using namespace crd;
 using namespace crd::wire;
@@ -174,6 +181,101 @@ TEST(VarintTest, RejectsTruncatedAndOverlong) {
     B = 0xFF;
   ByteReader R2(Over, 11);
   EXPECT_FALSE(R2.varint().has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// Integrity kernels: chunk CRC-32 and content digest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The 1000-byte known-answer input: byte i is (131 i + 7) mod 256.
+std::string patternBytes() {
+  std::string S(1000, '\0');
+  for (size_t I = 0; I != S.size(); ++I)
+    S[I] = static_cast<char>((131 * I + 7) % 256);
+  return S;
+}
+
+/// hashBytes64 as first defined, one byte load at a time: the reference
+/// the word-load digest must equal bit for bit.
+uint64_t hashBytes64ByteLoads(const void *Data, size_t Size) {
+  const unsigned char *P = static_cast<const unsigned char *>(Data);
+  uint64_t H = 0x2545f4914f6cdd1dULL ^ (uint64_t(Size) * 0x9e3779b97f4a7c15ULL);
+  size_t I = 0;
+  for (; I + 8 <= Size; I += 8) {
+    uint64_t W = 0;
+    for (unsigned B = 0; B != 8; ++B)
+      W |= uint64_t(P[I + B]) << (8 * B);
+    H = (H ^ hashMix64(W)) * 0xff51afd7ed558ccdULL;
+  }
+  uint64_t Tail = 0;
+  for (unsigned B = 0; I != Size; ++I, ++B)
+    Tail |= uint64_t(P[I]) << (8 * B);
+  if (Size % 8)
+    H = (H ^ hashMix64(Tail)) * 0xc4ceb9fe1a85ec53ULL;
+  return hashMix64(H);
+}
+
+} // namespace
+
+TEST(IntegrityKernelTest, KnownAnswers) {
+  // Both values are recorded on the wire, so they can never change.
+  struct Case {
+    std::string Input;
+    uint32_t Crc;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {
+      {"", 0x00000000u, 0xC0E16B163A85A4DCull},
+      {"a", 0xE8B7BE43u, 0x5F099E0ED79E40B2ull},
+      {"123456789", 0xCBF43926u, 0x344A541D21179DD8ull},
+      {"commutativity race detection!", 0x763D0B4Du, 0x8DB127A1FF1C0DACull},
+      {patternBytes(), 0x1ED57BB9u, 0xB5BEB58E3A2A4D13ull},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(testing::Message() << C.Input.size() << "-byte input");
+    EXPECT_EQ(crc32(C.Input.data(), C.Input.size()), C.Crc);
+    EXPECT_EQ(crc32Table(C.Input.data(), C.Input.size()), C.Crc);
+    EXPECT_EQ(hashBytes64(C.Input.data(), C.Input.size()), C.Digest);
+  }
+}
+
+TEST(IntegrityKernelTest, FoldRunsInEverySimdBuildOnPclmulHosts) {
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(CRD_DISABLE_SIMD)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32Folds(), __builtin_cpu_supports("pclmul") != 0);
+#else
+  EXPECT_FALSE(crc32Folds());
+#endif
+}
+
+TEST(IntegrityKernelTest, CrcMatchesTableAtEveryLengthAndAlignment) {
+  // Lengths 0-1024 cover the table-only sizes under 64, the 64-byte loop,
+  // every 16-byte fold count and every tail; start offsets 0-15 cover
+  // every alignment of the unaligned lane loads.
+  std::mt19937 Rng(0xC4C32u);
+  std::vector<uint8_t> Buf(1024 + 16);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Rng());
+  for (size_t Offset = 0; Offset != 16; ++Offset)
+    for (size_t Len = 0; Len <= 1024; ++Len)
+      ASSERT_EQ(crc32(Buf.data() + Offset, Len),
+                crc32Table(Buf.data() + Offset, Len))
+          << "length " << Len << " at offset " << Offset
+          << (crc32Folds() ? " (fold)" : " (table only)");
+}
+
+TEST(IntegrityKernelTest, DigestMatchesByteLoadReference) {
+  std::mt19937 Rng(0xD16E57u);
+  std::vector<uint8_t> Buf(64 + 8);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Rng());
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Len = 0; Len <= 64; ++Len)
+      ASSERT_EQ(hashBytes64(Buf.data() + Offset, Len),
+                hashBytes64ByteLoads(Buf.data() + Offset, Len))
+          << "length " << Len << " at offset " << Offset;
 }
 
 //===----------------------------------------------------------------------===//
