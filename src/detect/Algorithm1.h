@@ -38,7 +38,6 @@
 #include "support/EpochClock.h"
 #include "support/FlatMap.h"
 #include "support/Metrics.h"
-#include "support/Prefetch.h"
 #include "trace/Event.h"
 
 #include <array>
@@ -52,10 +51,8 @@
 
 namespace crd {
 
-/// Counters an Algorithm 1 engine accumulates while processing (zeros in a
-/// CRD_METRICS=OFF build, except ConflictChecks which the §5.4 experiments
-/// consume unconditionally). One instance per engine. Schema:
-/// docs/observability.md.
+/// Counters an Algorithm 1 engine accumulates while processing. One
+/// instance per engine. Schema: docs/observability.md.
 struct Algorithm1Stats {
   uint64_t Actions = 0;          ///< onAction invocations.
   uint64_t ConflictChecks = 0;   ///< Phase-1 conflict-partner probes.
@@ -64,11 +61,8 @@ struct Algorithm1Stats {
   uint64_t Activations = 0;      ///< Access points activated (first touch).
   uint64_t ActivePoints = 0;     ///< Currently active points (live objects).
   uint64_t KernelEvents = 0;     ///< Actions executed through onRun().
-  uint64_t PrefetchesIssued = 0; ///< Prefetch hints the lookahead issued.
-  /// Lookahead-ring occupancy at execute time: bucket d counts executions
-  /// that had d staged events in flight (bucket 8 = full pipeline).
+  /// Always zero; kept only because perfbench reads it.
   std::array<uint64_t, 9> LookaheadOccupancy{};
-  uint64_t LookaheadOccupancyMax = 0;
 };
 
 /// Phases 1–2 of Algorithm 1 over per-object active-point tables.
@@ -117,75 +111,31 @@ public:
     onActionResolved(A, Thread, Clock, EventIndex, stateFor(A.object()));
   }
 
-  /// Lookahead depth of the batched kernel (onRun): the number of upcoming
-  /// actions whose object state is resolved and prefetched ahead of the
-  /// phase-1/2 pipeline. 8 covers the state-line latency at the observed
-  /// ~30ns/action execute cost without outrunning the L1 prefetch budget.
-  static constexpr size_t LookaheadDepth = 8;
-
   /// The batched detection kernel: executes the actions of one run (a
   /// sync-free stretch, so every thread's clock is constant throughout)
-  /// given their positions inside \p Evs. A software-pipelined lookahead
-  /// stage stays up to LookaheadDepth actions ahead of execution, resolving
-  /// each action's object state (through a run-local last-object cache
-  /// hoisted out of stateFor) and issuing prefetch hints on the state and
-  /// its active-point table; the execute stage then runs the exact
-  /// onAction() phases in event order, resolving clocks through \p Resolve
-  /// (memoized across consecutive same-thread actions — valid precisely
-  /// because no sync event intervenes within a run).
+  /// given their positions inside \p Evs, in event order, through the exact
+  /// onAction() phases. Two memos do the work: a run-local last-object
+  /// cache resolves each action's object state, and a thread's clock is
+  /// resolved through \p Resolve once per stretch of consecutive
+  /// same-thread actions (valid precisely because no sync event
+  /// intervenes within a run).
   ///
   /// \p Pos holds \p NPos ascending positions of invoke events in \p Evs;
   /// \p Evs[Pos[i]] must be an invoke. Positions are reported to race
   /// records as \p BaseIndex + Pos[i]. \p Resolve maps a ThreadId to that
   /// thread's run clock (stable reference for the whole run).
   ///
-  /// Determinism: actions execute in the same order with the same clocks
-  /// as the per-event path; the lookahead stage only creates empty
-  /// ObjectStates earlier than stateFor would have (idempotent — stamp
-  /// *values* may differ from the per-event path, but stamps never appear
-  /// in race reports and are self-consistent within one execution), so
-  /// race reports are bit-identical.
+  /// Determinism: actions execute in the same order, with the same clocks
+  /// and the same object-state creation stamps, as on the per-event path,
+  /// so race reports are bit-identical.
   template <typename ResolveF>
   void onRun(const Event *Evs, const uint32_t *Pos, size_t NPos,
              size_t BaseIndex, ResolveF &&Resolve) {
-    struct Staged {
-      const Event *E;
-      ObjectState *State;
-      uint32_t Position;
-    };
-    Staged Ring[LookaheadDepth];
-    size_t Head = 0, InFlight = 0, Next = 0;
     // Run-local last-object cache: hoisted out of stateFor so the common
     // same-object run never reloads the member cache across the opaque
-    // provider/clock calls in the execute stage.
+    // provider/clock calls below.
     ObjectState *CachedState = nullptr;
     ObjectId CachedObj;
-
-    auto stage = [&] {
-      while (InFlight < LookaheadDepth && Next < NPos) {
-        uint32_t P = Pos[Next++];
-        const Event &E = Evs[P];
-        const Action &A = E.action();
-        ObjectState *S;
-        if (CachedState && CachedObj == A.object()) {
-          CacheHits.inc();
-          S = CachedState;
-        } else {
-          S = &stateFor(A.object());
-          CachedState = S;
-          CachedObj = A.object();
-        }
-        // Warm the lines execution will touch: the state itself and its
-        // active-point table's control/slot storage.
-        prefetchRead(S);
-        S->Active.prefetchProbe();
-        if constexpr (PrefetchEnabled)
-          Prefetches.add(3);
-        Ring[(Head + InFlight) % LookaheadDepth] = {&E, S, P};
-        ++InFlight;
-      }
-    };
-
     // Consecutive-same-thread clock memo. Safe to reuse only with no
     // intervening Resolve call: a resolver may grow its backing storage
     // and invalidate earlier references, and any intervening call here
@@ -193,26 +143,27 @@ public:
     const VectorClock *CachedClock = nullptr;
     ThreadId CachedThread;
 
-    stage();
-    while (InFlight != 0) {
-      LookaheadOcc.record(InFlight);
-      Staged St = Ring[Head];
-      Head = (Head + 1) % LookaheadDepth;
-      --InFlight;
-      ThreadId T = St.E->thread();
+    for (size_t I = 0; I != NPos; ++I) {
+      const Event &E = Evs[Pos[I]];
+      const Action &A = E.action();
+      if (!CachedState || !(CachedObj == A.object())) {
+        CachedState = &stateFor(A.object());
+        CachedObj = A.object();
+      } else {
+        CacheHits.inc();
+      }
+      ThreadId T = E.thread();
       if (!CachedClock || !(CachedThread == T)) {
         CachedClock = &Resolve(T);
         CachedThread = T;
       }
-      onActionResolved(St.E->action(), T, *CachedClock,
-                       BaseIndex + St.Position, *St.State);
-      stage();
+      onActionResolved(A, T, *CachedClock, BaseIndex + Pos[I], *CachedState);
     }
     KernelEventsCtr.add(NPos);
   }
 
-  /// onAction() with the per-object state already resolved — the execute
-  /// stage of onRun(), and the tail of onAction() itself.
+  /// onAction() with the per-object state already resolved — the body of
+  /// onRun()'s loop, and the tail of onAction() itself.
   void onActionResolved(const Action &A, ThreadId Thread,
                         const VectorClock &Clock, size_t EventIndex,
                         ObjectState &State) {
@@ -330,8 +281,7 @@ public:
     ActionsSeen.add(Actions);
   }
 
-  /// Metrics snapshot (docs/observability.md). ConflictChecks is always
-  /// live; the other counters read zero in a CRD_METRICS=OFF build.
+  /// Metrics snapshot (docs/observability.md).
   Algorithm1Stats stats() const {
     Algorithm1Stats S;
     S.Actions = ActionsSeen.get();
@@ -341,9 +291,6 @@ public:
     S.Activations = Activations.get();
     S.ActivePoints = ActivePoints;
     S.KernelEvents = KernelEventsCtr.get();
-    S.PrefetchesIssued = Prefetches.get();
-    S.LookaheadOccupancy = LookaheadOcc.counts();
-    S.LookaheadOccupancyMax = LookaheadOcc.max();
     return S;
   }
 
@@ -464,14 +411,12 @@ private:
   uint64_t MutStamp = 0;   ///< See mutationStamp().
   uint64_t ConfigStamp = 0;///< See configStamp().
   /// Observability counters (single writer — the thread driving the
-  /// engine; no-ops when CRD_METRICS=0).
+  /// engine).
   metrics::Counter ActionsSeen;
   metrics::Counter CacheHits;
   metrics::Counter CacheMisses;
   metrics::Counter Activations;
   metrics::Counter KernelEventsCtr;
-  metrics::Counter Prefetches;
-  metrics::LinearHistogram<LookaheadDepth + 1> LookaheadOcc;
 };
 
 } // namespace crd

@@ -6,8 +6,6 @@
 
 #include "detect/CommutativityDetector.h"
 
-#include "support/KindScan.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -24,13 +22,6 @@ void CommutativityRaceDetector::process(const Event &E) {
 void CommutativityRaceDetector::processKinded(const Event *Evs,
                                               const uint8_t *Kinds, size_t N) {
   uint64_t Begin = metrics::nowNs();
-  // One SIMD pass yields sync and invoke positions together: the kind
-  // encoding puts fork/join/acquire/release below Invoke and everything
-  // else above it, so Below = Invoke + 1 selects exactly both. Memory and
-  // transaction events — the bulk of most traces — are never loaded.
-  ScanScratch.clear();
-  appendKindPositions(Kinds, N, static_cast<uint8_t>(SyncKindBound + 1),
-                      /*Base=*/0, ScanScratch);
   InvokeScratch.clear();
   auto Resolve = [this](ThreadId T) -> const VectorClock & {
     return VCState.clockOf(T);
@@ -42,14 +33,18 @@ void CommutativityRaceDetector::processKinded(const Event *Evs,
                  Resolve);
     InvokeScratch.clear();
   };
-  for (uint32_t P : ScanScratch) {
+  // The kind encoding puts fork/join/acquire/release below Invoke, so the
+  // kind bytes alone find both the sync events and the invokes; memory and
+  // transaction events are never loaded.
+  constexpr uint8_t InvokeKind = static_cast<uint8_t>(EventKind::Invoke);
+  for (size_t P = 0; P != N; ++P) {
     if (Kinds[P] < SyncKindBound) {
       // Sync event: the run before it is complete — execute its actions
       // (their clocks predate this Table 1 update), then advance clocks.
       FlushRun();
       VCState.process(Evs[P]);
-    } else {
-      InvokeScratch.push_back(P);
+    } else if (Kinds[P] == InvokeKind) {
+      InvokeScratch.push_back(static_cast<uint32_t>(P));
     }
   }
   FlushRun();

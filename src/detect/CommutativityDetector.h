@@ -52,8 +52,8 @@ public:
 
   /// Feeds a whole trace. Routed through the batched kernel: events are
   /// windowed, kind-scanned, and each sync-free run's actions execute
-  /// through the engine's prefetch-pipelined onRun() — bit-identical
-  /// races to the per-event path.
+  /// through the engine's batched onRun() — bit-identical races to the
+  /// per-event path.
   void processTrace(const Trace &T);
 
   /// Feeds a whole batch through the batched kernel (the streaming
@@ -62,8 +62,8 @@ public:
   void processBatch(const EventBatch &B);
 
   /// Nanoseconds spent inside the batched kernel (processTrace /
-  /// processBatch), for the per-kernel profile row. Zero in a
-  /// CRD_METRICS=OFF build and on the per-event path.
+  /// processBatch), for the per-kernel profile row. Zero on the per-event
+  /// path.
   uint64_t kernelNs() const { return KernelNs.get(); }
 
   /// Reclaims all auxiliary state of a dead object (the paper's
@@ -155,11 +155,10 @@ public:
   }
 
 private:
-  /// The kernel driver shared by processTrace/processBatch: one combined
-  /// SIMD kind-scan finds sync AND invoke positions (both kind ranges sit
-  /// below Invoke + 1), then the walk flushes each run's invoke positions
-  /// into Engine.onRun() and feeds the sync events to the clock machine.
-  /// \p Kinds[i] must be Evs[i]'s kind byte.
+  /// The kernel driver shared by processTrace/processBatch: one scan over
+  /// the kind bytes collects each run's invoke positions, flushes them into
+  /// Engine.onRun() at the next sync event and feeds that sync event to the
+  /// clock machine. \p Kinds[i] must be Evs[i]'s kind byte.
   void processKinded(const Event *Evs, const uint8_t *Kinds, size_t N);
 
   VectorClockState VCState;
@@ -167,7 +166,6 @@ private:
   size_t EventIndex = 0;
   /// processKinded scratch, reused across windows (allocation-free in the
   /// steady state).
-  std::vector<uint32_t> ScanScratch;
   std::vector<uint32_t> InvokeScratch;
   std::vector<uint8_t> KindScratch;
   metrics::Counter KernelNs;

@@ -29,7 +29,7 @@
 
 namespace crd {
 
-/// Counters the FastTrack detector accumulates (zeros when CRD_METRICS=0).
+/// Counters the FastTrack detector accumulates.
 /// Each read/write performs exactly one shadow-table probe, so TableProbes
 /// = Reads + Writes; SameEpochHits counts the O(1) fast-path exits ([Read
 /// Same Epoch]/[Write Same Epoch]) that never consult the write/read state.
@@ -115,7 +115,7 @@ private:
   size_t RaceCount = 0;
   std::unordered_set<VarId> RacyVars;
   size_t EventIndex = 0;
-  /// Observability counters (single writer; no-ops when CRD_METRICS=0).
+  /// Observability counters (single writer).
   metrics::Counter Reads;
   metrics::Counter Writes;
   metrics::Counter SameEpochHits;

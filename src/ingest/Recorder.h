@@ -73,8 +73,7 @@ private:
   /// the collector thread or a manual drainRound() caller).
   uint64_t Drained = 0;
   uint64_t Drains = 0;
-  /// Ring depth observed at each collector visit (inert when
-  /// CRD_METRICS=0).
+  /// Ring depth observed at each collector visit.
   metrics::Pow2Histogram<18> DepthOnDrain;
 };
 

@@ -113,13 +113,11 @@ size_t Session::drainRound() {
   ++Rounds;
   if (Total == 0)
     ++EmptyRounds;
-  if (metrics::Enabled) {
-    uint64_t T1 = metrics::nowNs();
-    RoundNs.record(T1 - T0);
-    CollectNs += T1 - T0;
-    if (Opts.TraceRounds && Total != 0 && Spans.size() < SpanCapacity)
-      Spans.push_back({T0, T1, Total});
-  }
+  uint64_t T1 = metrics::nowNs();
+  RoundNs.record(T1 - T0);
+  CollectNs += T1 - T0;
+  if (Opts.TraceRounds && Total != 0 && Spans.size() < SpanCapacity)
+    Spans.push_back({T0, T1, Total});
   return Total;
 }
 
@@ -208,7 +206,6 @@ void Session::writeMetricsJson(std::ostream &OS) const {
   IngestMetrics M = metricsSnapshot();
   metrics::JsonWriter W(OS);
   W.beginObject();
-  W.field("metrics_enabled", metrics::Enabled);
   W.field("policy", policyName(Opts.Policy));
   W.field("ring_capacity", static_cast<uint64_t>(Opts.RingCapacity));
   W.field("batch_capacity", static_cast<uint64_t>(Opts.BatchCapacity));

@@ -63,7 +63,7 @@ struct SessionOptions {
   /// batches; the wire sink writes event-at-a-time into its own chunks).
   size_t BatchCapacity = 4096;
   /// Record a RoundSpan per non-empty collector round for Chrome tracing
-  /// (CRD_METRICS builds only; capped at SpanCapacity rounds).
+  /// (capped at SpanCapacity rounds).
   bool TraceRounds = false;
 };
 

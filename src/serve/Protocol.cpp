@@ -6,9 +6,9 @@
 
 #include "serve/Protocol.h"
 
+#include "support/JsonEscape.h"
+
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 
 using namespace crd;
 using namespace crd::serve;
@@ -26,13 +26,6 @@ std::string_view nextToken(std::string_view &Rest) {
 }
 
 } // namespace
-
-uint64_t serve::monotonicNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 const char *serve::backendToken(wire::Backend B) {
   switch (B) {
@@ -137,35 +130,4 @@ void serve::escapeJsonFrom(std::string &Out, size_t From) {
   std::string Raw(It, Out.end());
   Out.erase(It, Out.end());
   appendJsonEscaped(Out, Raw);
-}
-
-void serve::appendJsonEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-      break;
-    }
-  }
 }

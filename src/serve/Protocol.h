@@ -84,10 +84,6 @@ std::string renderHandshake(const Handshake &H);
 /// Appends a frame header for a \p BodySize-byte body of type \p T.
 void appendFrameHeader(std::string &Out, FrameType T, uint32_t BodySize);
 
-/// Appends \p S with the JSON string escapes of RFC 8259 (quotes not
-/// included) — reply lines are hand-assembled to stay single-line.
-void appendJsonEscaped(std::string &Out, std::string_view S);
-
 /// JSON-escapes \p Out's tail from byte \p From in place: text rendered
 /// straight into a reply line is escaped only when it holds a character
 /// JSON must escape.
@@ -99,11 +95,6 @@ const char *memoToken(wire::MemoMode M);
 
 /// Inverse of backendToken(): the backend spelled \p Token, if any.
 std::optional<wire::Backend> parseBackendToken(std::string_view Token);
-
-/// Monotonic nanoseconds for idle-timeout sweeps and timeline spans.
-/// Deliberately not metrics::nowNs(): that compiles to a constant 0 in
-/// CRD_METRICS=OFF builds, and session lifecycle must keep working there.
-uint64_t monotonicNs();
 
 } // namespace serve
 } // namespace crd

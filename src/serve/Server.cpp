@@ -150,7 +150,7 @@ bool Server::start(std::string &Error) {
     setNonBlocking(TcpFd);
   }
 
-  StartNs = monotonicNs();
+  StartNs = metrics::nowNs();
   Workers.reserve(Opts.Workers);
   for (unsigned I = 0; I != Opts.Workers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -450,7 +450,7 @@ void Server::ioRound(std::vector<pollfd> &Fds) {
     flushConn(C); // POLLOUT, or new output a worker queued.
   }
 
-  sweepIdle(monotonicNs());
+  sweepIdle(metrics::nowNs());
 
   // Close what is finished (done + everything flushed), back to front so
   // indexes stay valid.
@@ -476,7 +476,7 @@ ServeMetrics Server::metricsSnapshot() {
 
 void Server::writeStatusJson(std::ostream &OS) {
   ServeMetrics M = metricsSnapshot();
-  uint64_t Now = monotonicNs();
+  uint64_t Now = metrics::nowNs();
   metrics::JsonWriter W(OS);
   W.beginObject();
   W.field("uptime_ms", static_cast<uint64_t>((Now - StartNs) / 1000000));

@@ -6,6 +6,7 @@
 
 #include "serve/Session.h"
 
+#include "support/JsonEscape.h"
 #include "support/Metrics.h"
 #include "support/TextRender.h"
 #include "wire/WireFormat.h"
@@ -37,7 +38,7 @@ Session::Session(uint64_t Id, const SessionLimits &Limits,
                  const AccessPointProvider *Provider, bool TraceSpans)
     : Id(Id), Limits(Limits), Provider(Provider), TraceSpans(TraceSpans),
       QueueStream(&Queue) {
-  LastActivityNs = monotonicNs();
+  LastActivityNs = metrics::nowNs();
   Snapshot.Id = Id;
 }
 
@@ -49,7 +50,7 @@ bool Session::enqueueInput(const char *Data, size_t N) {
     return false;
   RawIn.append(Data, N);
   BytesIn += N;
-  LastActivityNs = monotonicNs();
+  LastActivityNs = metrics::nowNs();
   return true;
 }
 
@@ -58,7 +59,7 @@ bool Session::noteEof() {
   if (DoneFlag || EofSeen)
     return false;
   EofSeen = true;
-  LastActivityNs = monotonicNs();
+  LastActivityNs = metrics::nowNs();
   return true;
 }
 
@@ -241,7 +242,7 @@ void Session::runWork() {
   if (Eof)
     EofHandled = true;
   WorkerBufferedBytes = Pending.size() + WireBuf.size() + Queue.pending();
-  LastActivityNs = monotonicNs();
+  LastActivityNs = metrics::nowNs();
 }
 
 void Session::processPending() {
@@ -416,7 +417,7 @@ void Session::pumpPipeline() {
     return;
   if (Queue.pending() == 0 && PumpRounds != 0)
     return;
-  uint64_t Start = TraceSpans ? monotonicNs() : 0;
+  uint64_t Start = TraceSpans ? metrics::nowNs() : 0;
   if (wire::WireReader *Reader = Source->memoReader())
     Reader->resume();
   Pipeline->pump(*Source);
@@ -425,7 +426,7 @@ void Session::pumpPipeline() {
     SessionSpan Span;
     Span.SessionId = Id;
     Span.StartNs = Start;
-    Span.DurNs = monotonicNs() - Start;
+    Span.DurNs = metrics::nowNs() - Start;
     Span.Events = Pipeline->eventsProcessed();
     std::lock_guard<std::mutex> Lock(Mu);
     if (Spans.size() < 4096)

@@ -45,7 +45,6 @@
 #define CRD_SUPPORT_FLATMAP_H
 
 #include "support/Hashing.h"
-#include "support/Prefetch.h"
 
 #include <algorithm>
 #include <bit>
@@ -180,17 +179,6 @@ public:
   }
 
   bool contains(const KeyT &K) const { return find(K) != nullptr; }
-
-  /// Prefetch hint for an imminent probe: warms the first control-byte
-  /// window and the first slot line. The batched detection kernel issues
-  /// this from its lookahead stage so the table's storage is in cache by
-  /// the time the probe executes. A hint only — results never depend on it.
-  void prefetchProbe() const {
-    if (Slots.empty())
-      return;
-    prefetchRead(Ctrl.data());
-    prefetchRead(Slots.data());
-  }
 
   /// Inserts a default-constructed value for \p K unless present. Returns
   /// the value slot and whether an insertion happened.

@@ -1,4 +1,4 @@
-//===- support/Metrics.h - Zero-cost-when-off metrics layer -----*- C++ -*-===//
+//===- support/Metrics.h - Metrics layer ------------------------*- C++ -*-===//
 //
 // Part of the CRD project (PLDI 2014 "Commutativity Race Detection" repro).
 //
@@ -7,11 +7,9 @@
 /// \file
 /// The observability primitives threaded through the detector stack:
 /// single-writer counters, fixed-bucket histograms, and a monotonic
-/// nanosecond clock, all compiled down to no-ops when the build sets
-/// `CRD_METRICS=0` (CMake `-DCRD_METRICS=OFF`). Consumers write the same
-/// code either way; in an off build every increment folds away, `get()`
-/// returns 0, and `nowNs()` is a constant — the hot paths carry no clock
-/// reads and no extra stores.
+/// nanosecond clock. They are always compiled: an increment is one plain
+/// add, and clocks are read at batch or chunk granularity, never per
+/// event.
 ///
 /// Concurrency model: every counter and histogram has exactly ONE writer
 /// (the detector thread, a specific producer or collector thread).
@@ -21,41 +19,34 @@
 /// counters laid out in arrays never share a line across writer threads
 /// (MetricsTest hammers this).
 ///
-/// Snapshots are emitted as JSON through `JsonWriter` (always compiled —
-/// an off build still emits a snapshot, with `"metrics_enabled": false`
-/// and zeroed counters). The snapshot schema is documented in
-/// `docs/observability.md`.
+/// Snapshots are emitted as JSON through `JsonWriter`. The snapshot schema
+/// is documented in `docs/observability.md`.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRD_SUPPORT_METRICS_H
 #define CRD_SUPPORT_METRICS_H
 
+#include "support/JsonEscape.h"
+
 #include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
-
-/// Build gate. CMake defines CRD_METRICS=1/0 on every target through
-/// crd_support; standalone inclusion defaults to on.
-#ifndef CRD_METRICS
-#define CRD_METRICS 1
-#endif
 
 namespace crd {
 namespace metrics {
 
-/// True when the build carries the instrumentation.
-inline constexpr bool Enabled = CRD_METRICS != 0;
+/// Always true; kept only because perfbench reads it.
+inline constexpr bool Enabled = true;
 
 /// Cache line size used for counter padding (std::hardware_destructive_
 /// interference_size is not portable across the toolchains we build on).
 inline constexpr size_t CacheLineBytes = 64;
-
-#if CRD_METRICS
 
 /// Monotonic nanoseconds (steady clock). All `*_ns` snapshot fields are
 /// differences of this clock.
@@ -77,36 +68,6 @@ public:
 
 private:
   uint64_t V = 0;
-};
-
-/// Fixed-bucket histogram with identity bucketing: value v lands in bucket
-/// min(v, N-1) — the last bucket absorbs the tail. Used for small discrete
-/// domains (lookahead occupancy). Single writer.
-template <size_t N> class LinearHistogram {
-  static_assert(N >= 2, "a histogram needs at least two buckets");
-
-public:
-  void record(uint64_t V) {
-    ++Buckets[V < N - 1 ? V : N - 1];
-    ++Total;
-    Sum += V;
-    if (V > Peak)
-      Peak = V;
-  }
-
-  static constexpr size_t bucketCount() { return N; }
-  uint64_t bucket(size_t I) const { return Buckets[I]; }
-  uint64_t count() const { return Total; }
-  uint64_t sum() const { return Sum; }
-  uint64_t max() const { return Peak; }
-
-  std::array<uint64_t, N> counts() const { return Buckets; }
-
-private:
-  std::array<uint64_t, N> Buckets{};
-  uint64_t Total = 0;
-  uint64_t Sum = 0;
-  uint64_t Peak = 0;
 };
 
 /// Fixed-bucket histogram with power-of-two bucketing: bucket i counts
@@ -149,47 +110,8 @@ private:
   uint64_t Peak = 0;
 };
 
-#else // !CRD_METRICS — every primitive is an empty shell the optimizer
-      // deletes; get()/count() read as zero so snapshots stay well formed.
-
-inline constexpr uint64_t nowNs() { return 0; }
-
-class Counter {
-public:
-  void inc() {}
-  void add(uint64_t) {}
-  uint64_t get() const { return 0; }
-  void reset() {}
-};
-
-template <size_t N> class LinearHistogram {
-public:
-  void record(uint64_t) {}
-  static constexpr size_t bucketCount() { return N; }
-  uint64_t bucket(size_t) const { return 0; }
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t max() const { return 0; }
-  std::array<uint64_t, N> counts() const { return {}; }
-};
-
-template <size_t N> class Pow2Histogram {
-public:
-  void record(uint64_t) {}
-  static constexpr size_t bucketOf(uint64_t) { return 0; }
-  static constexpr size_t bucketCount() { return N; }
-  uint64_t bucket(size_t) const { return 0; }
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t max() const { return 0; }
-  std::array<uint64_t, N> counts() const { return {}; }
-};
-
-#endif // CRD_METRICS
-
 //===----------------------------------------------------------------------===//
-// JsonWriter — always compiled (snapshots are emitted even when the
-// counters are compiled out).
+// JsonWriter
 //===----------------------------------------------------------------------===//
 
 /// Minimal streaming JSON emitter: nested objects/arrays, pretty-printed
@@ -326,34 +248,9 @@ private:
   }
 
   void writeString(std::string_view S) {
-    OS << '"';
-    for (char C : S) {
-      switch (C) {
-      case '"':
-        OS << "\\\"";
-        break;
-      case '\\':
-        OS << "\\\\";
-        break;
-      case '\n':
-        OS << "\\n";
-        break;
-      case '\t':
-        OS << "\\t";
-        break;
-      case '\r':
-        OS << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          const char *Hex = "0123456789abcdef";
-          OS << "\\u00" << Hex[(C >> 4) & 0xF] << Hex[C & 0xF];
-        } else {
-          OS << C;
-        }
-      }
-    }
-    OS << '"';
+    std::string Escaped;
+    appendJsonEscaped(Escaped, S);
+    OS << '"' << Escaped << '"';
   }
 
   std::ostream &OS;

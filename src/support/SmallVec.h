@@ -113,7 +113,10 @@ public:
   void assign(const T *Src, size_t Count) {
     if (Count > Cap)
       grow(Count);
-    std::memcpy(Data, Src, Count * sizeof(T));
+    // An empty source may be null, and memcpy from null is undefined even
+    // for zero bytes.
+    if (Count != 0)
+      std::memcpy(Data, Src, Count * sizeof(T));
     Len = static_cast<uint32_t>(Count);
   }
 

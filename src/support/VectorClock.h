@@ -24,10 +24,9 @@
 #include <vector>
 
 // SIMD clock kernels: pointwise max (join) and pointwise ≤ (leq) over the
-// dense uint32_t component arrays, 4 lanes per step. Mirrors the KindScan.h
-// pattern: the scalar variants are always compiled (and differentially
-// tested against the SIMD ones), and CRD_DISABLE_SIMD forces them
-// everywhere. SSE2 has no unsigned 32-bit max/compare, so the kernels bias
+// dense uint32_t component arrays, 4 lanes per step. The scalar variants
+// are always compiled (and differentially tested against the SIMD ones),
+// and CRD_DISABLE_SIMD forces them everywhere. SSE2 has no unsigned 32-bit max/compare, so the kernels bias
 // by 0x80000000 to map unsigned order onto signed compares.
 #if defined(__SSE2__) && !defined(CRD_DISABLE_SIMD)
 #define CRD_VECTORCLOCK_HAVE_SSE2 1

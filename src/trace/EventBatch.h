@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A batch of decoded events plus a contiguous kind-byte array (one byte
-/// per event, SIMD-scannable) alongside them: the batched detection kernel
+/// per event) alongside them: the batched detection kernel
 /// scans the kinds once to find the sync events that delimit runs and the
 /// invokes it executes, without loading the (much wider) events.
 ///
@@ -32,7 +32,7 @@ namespace crd {
 
 /// Kind bytes strictly below this bound are the Table 1 synchronization
 /// kinds — the encoding puts fork/join/acquire/release first exactly so
-/// the sync scan is one byte-compare (KindScan.h).
+/// the sync scan is one byte-compare.
 inline constexpr uint8_t SyncKindBound =
     static_cast<uint8_t>(EventKind::Invoke);
 static_assert(static_cast<uint8_t>(EventKind::Fork) < SyncKindBound &&
@@ -49,7 +49,7 @@ static_assert(static_cast<uint8_t>(EventKind::Fork) < SyncKindBound &&
 /// A self-contained, recyclable batch of events with a kind array.
 struct EventBatch {
   std::vector<Event> Events;
-  /// Events[i]'s kind as a raw byte — the contiguous array the SIMD scan
+  /// Events[i]'s kind as a raw byte — the contiguous array the kind scan
   /// walks (Event itself is too wide to scan directly).
   std::vector<uint8_t> Kinds;
   /// Pinned invoke payloads for actions wider than the inline capacity.

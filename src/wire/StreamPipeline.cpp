@@ -49,9 +49,6 @@ void writeEngineStats(metrics::JsonWriter &W, const Algorithm1Stats &S) {
   W.field("activations", S.Activations);
   W.field("active_points", S.ActivePoints);
   W.field("kernel_events", S.KernelEvents);
-  W.field("prefetches_issued", S.PrefetchesIssued);
-  W.fieldArray("lookahead_occupancy", S.LookaheadOccupancy);
-  W.field("lookahead_occupancy_max", S.LookaheadOccupancyMax);
 }
 
 } // namespace
@@ -156,8 +153,7 @@ void StreamPipeline::detectBatch(const EventBatch &B) {
   if (B.empty())
     return;
   Events += B.size();
-  if (metrics::Enabled)
-    tallyBatchKinds(B);
+  tallyBatchKinds(B);
   if (Seq) {
     // Whole batch through the sequential detector's batched kernel; races
     // surface (and hit the callback) after the batch.
@@ -187,11 +183,9 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
         ++MemoStats.SummaryHits;
         MemoStats.EventsReplayed += S->Events;
         Events += S->Events;
-        if (metrics::Enabled) {
-          InvokeEvents.add(S->Invokes);
-          MemEvents.add(S->MemEvents);
-          TxEvents.add(S->TxEvents);
-        }
+        InvokeEvents.add(S->Invokes);
+        MemEvents.add(S->MemEvents);
+        TxEvents.add(S->TxEvents);
         drainRaces();
         return true;
       }
@@ -240,8 +234,8 @@ void StreamPipeline::pump(EventSource &Source) {
   }
   // Batched pull: whole event batches flow from the source into
   // processBatch() — for the sequential backend, the detector's kinded
-  // kernel (one SIMD kind scan per batch, runs through the
-  // prefetch-pipelined engine) — with the batch recycled each round so
+  // kernel (one kind scan per batch, runs through the engine's batched
+  // loop) — with the batch recycled each round so
   // the loop is allocation-free in the steady state. Race callbacks fire
   // after each batch.
   while (Source.nextBatch(PumpBatch, PullBatchSize))
@@ -283,7 +277,6 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
                                       const EventSource *Source) const {
   metrics::JsonWriter W(OS);
   W.beginObject();
-  W.field("metrics_enabled", metrics::Enabled);
   W.field("backend", backendName(Opts.TheBackend));
   W.field("events", static_cast<uint64_t>(Events));
 

@@ -64,8 +64,7 @@ struct PipelineOptions {
   MemoMode Memo = MemoMode::Off;
 };
 
-/// Detector-side memoization counters (always live, even in a
-/// CRD_METRICS=OFF build; see docs/observability.md "memo").
+/// Detector-side memoization counters (see docs/observability.md "memo").
 struct PipelineMemoStats {
   uint64_t SummaryHits = 0;      ///< Chunks replayed from a summary.
   uint64_t SummaryRecords = 0;   ///< Summaries recorded (incl. re-records).
@@ -162,9 +161,7 @@ public:
   /// docs/observability.md). Valid on a quiesced pipeline — after run(),
   /// or finish() when events were pushed. Pass the \p Source the stream
   /// was pulled from to include decode-side counters (binary sources
-  /// only). Works in every build; a CRD_METRICS=OFF build emits
-  /// `"metrics_enabled": false` with structural counts live and
-  /// everything timed zero.
+  /// only).
   void writeMetricsJson(std::ostream &OS,
                         const EventSource *Source = nullptr) const;
 
@@ -193,8 +190,8 @@ private:
   /// Recycled pull batch shared by pump()'s loops, kept as a member so a
   /// resumable stream's many short pump rounds stay allocation-free.
   EventBatch PumpBatch;
-  /// Per-kind ingress counters (single writer: the feeding thread; inert
-  /// when CRD_METRICS=0). Invoke + Sync + Mem + Tx == Events.
+  /// Per-kind ingress counters (single writer: the feeding thread).
+  /// Invoke + Sync + Mem + Tx == Events.
   metrics::Counter InvokeEvents;
   metrics::Counter SyncEvents;
   metrics::Counter MemEvents;

@@ -229,7 +229,7 @@ bool WireReader::loadChunk() {
   // The previous chunk's batch is fully handed out by now (next() only
   // loads a chunk once the prior one is drained), so its decoded values
   // can be reclaimed wholesale.
-  if (metrics::Enabled && ValueArena.bytesUsed() > ArenaPeak)
+  if (ValueArena.bytesUsed() > ArenaPeak)
     ArenaPeak = ValueArena.bytesUsed();
   ValueArena.reset();
 
@@ -302,7 +302,7 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
     B.appendPinned(std::move(E));
     ++Decoded;
   }
-  if (metrics::Enabled && B.Values.bytesUsed() > ArenaPeak)
+  if (B.Values.bytesUsed() > ArenaPeak)
     ArenaPeak = B.Values.bytesUsed();
   return Decoded;
 }

@@ -46,11 +46,8 @@ namespace crd {
 namespace wire {
 
 /// Decode-side observability counters (docs/observability.md). Events and
-/// Chunks mirror eventsRead()/chunksRead() and stay live in every build;
-/// CrcErrors/DigestErrors/PayloadBytes/Symbols/ArenaPeakBytes read zero
-/// when CRD_METRICS=0, and the Memo* fields are always live (the memo
-/// tests gate on them in every build). CrcErrors and DigestErrors are at
-/// most 1 per reader — the reader fails hard on the first mismatch of
+/// Chunks mirror eventsRead()/chunksRead(). CrcErrors and DigestErrors are
+/// at most 1 per reader — the reader fails hard on the first mismatch of
 /// either kind.
 struct WireReaderStats {
   uint64_t Chunks = 0;
@@ -164,7 +161,7 @@ public:
     S.PayloadBytes = PayloadBytes.get();
     S.Symbols = SymbolCount.get();
     S.ArenaPeakBytes = ArenaPeak;
-    if (metrics::Enabled && ValueArena.bytesUsed() > S.ArenaPeakBytes)
+    if (ValueArena.bytesUsed() > S.ArenaPeakBytes)
       S.ArenaPeakBytes = ValueArena.bytesUsed(); // Current chunk still live.
     S.MemoHits = MemoHits;
     S.MemoMisses = MemoMisses;
@@ -196,7 +193,7 @@ private:
   size_t NumEvents = 0;
   size_t NumChunks = 0;
   bool Failed = false;
-  /// Observability counters (single writer; no-ops when CRD_METRICS=0).
+  /// Observability counters (single writer).
   metrics::Counter CrcErrors;
   metrics::Counter DigestErrors;
   metrics::Counter PayloadBytes;
@@ -209,7 +206,7 @@ private:
   static constexpr size_t MemoStoreMaxBytes = size_t(256) << 20;
   std::unordered_map<uint64_t, std::string> Store;
   size_t StoreBytes = 0;
-  /// Memo counters: always live (tests read them in metrics-off builds).
+  /// Memo counters.
   uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;
   uint64_t MemoBytesSaved = 0;

@@ -409,9 +409,7 @@ TEST(IngestTest, MetricsSnapshotAndJson) {
     for (uint64_t C : P.DepthPow2)
       DepthSamples += C;
     // Every drain visit samples the depth histogram exactly once.
-    if (metrics::Enabled) {
-      EXPECT_EQ(DepthSamples, P.Drains);
-    }
+    EXPECT_EQ(DepthSamples, P.Drains);
   }
 
   std::ostringstream JSON;
@@ -423,11 +421,9 @@ TEST(IngestTest, MetricsSnapshotAndJson) {
         "\"round_ns_pow2\""})
     EXPECT_NE(Doc.find(Key), std::string::npos) << Key << "\n" << Doc;
 
-  if (metrics::Enabled) {
-    std::ostringstream TraceJSON;
-    writeIngestChromeTrace(TraceJSON, M);
-    EXPECT_NE(TraceJSON.str().find("ingest collector"), std::string::npos);
-  }
+  std::ostringstream TraceJSON;
+  writeIngestChromeTrace(TraceJSON, M);
+  EXPECT_NE(TraceJSON.str().find("ingest collector"), std::string::npos);
 }
 
 TEST(IngestTest, LiveRecorderSinkMatchesTraceRecorderPerThread) {

@@ -9,8 +9,7 @@
 /// counter exactness under one-writer-per-counter concurrency (the padding
 /// contract), histogram bucketing, JsonWriter escaping, and
 /// determinism of the JSON snapshot across identical runs (modulo `_ns`
-/// timing fields). The suite passes in CRD_METRICS=ON and OFF builds; the
-/// instrumentation-dependent assertions are gated on metrics::Enabled.
+/// timing fields).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +39,12 @@ TEST(MetricsCounterTest, BasicOperations) {
   C.inc();
   C.inc();
   C.add(40);
-  if (Enabled)
-    EXPECT_EQ(C.get(), 42u);
-  else
-    EXPECT_EQ(C.get(), 0u);
+  EXPECT_EQ(C.get(), 42u);
   C.reset();
   EXPECT_EQ(C.get(), 0u);
 }
 
 TEST(MetricsCounterTest, PaddedToCacheLine) {
-  if (!Enabled)
-    GTEST_SKIP() << "counters are empty shells in a CRD_METRICS=OFF build";
   // The concurrency model relies on placement: counters laid out in arrays
   // and written by different threads must never share a cache line.
   EXPECT_GE(alignof(Counter), CacheLineBytes);
@@ -58,8 +52,6 @@ TEST(MetricsCounterTest, PaddedToCacheLine) {
 }
 
 TEST(MetricsCounterTest, ExactUnderOneWriterPerCounter) {
-  if (!Enabled)
-    GTEST_SKIP() << "counters are empty shells in a CRD_METRICS=OFF build";
   // One writer per counter, counters adjacent in an array — exactly the
   // per-thread layout. Non-atomic increments must still be exact because
   // no two threads touch the same counter (and padding keeps the writes
@@ -86,29 +78,7 @@ TEST(MetricsCounterTest, ExactUnderOneWriterPerCounter) {
 // Histograms
 //===----------------------------------------------------------------------===//
 
-TEST(MetricsHistogramTest, LinearBucketingAndTail) {
-  LinearHistogram<4> H;
-  H.record(0);
-  H.record(1);
-  H.record(2);
-  H.record(3);  // Tail bucket.
-  H.record(99); // Clamped into the tail bucket.
-  if (!Enabled) {
-    EXPECT_EQ(H.count(), 0u);
-    return;
-  }
-  EXPECT_EQ(H.bucket(0), 1u);
-  EXPECT_EQ(H.bucket(1), 1u);
-  EXPECT_EQ(H.bucket(2), 1u);
-  EXPECT_EQ(H.bucket(3), 2u);
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_EQ(H.sum(), 0u + 1 + 2 + 3 + 99);
-  EXPECT_EQ(H.max(), 99u);
-}
-
 TEST(MetricsHistogramTest, Pow2BucketBoundaries) {
-  if (!Enabled)
-    GTEST_SKIP() << "bucketOf is a constant in a CRD_METRICS=OFF build";
   using H = Pow2Histogram<8>;
   EXPECT_EQ(H::bucketOf(0), 0u);
   EXPECT_EQ(H::bucketOf(1), 1u);
@@ -123,7 +93,7 @@ TEST(MetricsHistogramTest, Pow2BucketBoundaries) {
 }
 
 //===----------------------------------------------------------------------===//
-// JsonWriter (always compiled, even in OFF builds)
+// JsonWriter
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsJsonTest, NestedObjectsAndArrays) {
@@ -234,18 +204,14 @@ TEST(MetricsSnapshotTest, SnapshotIsWellFormedAndCarriesSchema) {
   // Structural keys every snapshot must carry (schema in
   // docs/observability.md); full JSON parsing is the docs checker's job.
   for (const char *Key :
-       {"\"metrics_enabled\"", "\"backend\"", "\"events\"",
-        "\"events_by_kind\"", "\"summary\"", "\"source\"", "\"detector\"",
-        "\"conflict_checks\"", "\"lookahead_occupancy\"", "\"kernel_ns\""})
+       {"\"backend\"", "\"events\"", "\"events_by_kind\"", "\"summary\"",
+        "\"source\"", "\"detector\"", "\"conflict_checks\"",
+        "\"kernel_ns\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
-  EXPECT_NE(Json.find(Enabled ? "\"metrics_enabled\": true"
-                              : "\"metrics_enabled\": false"),
-            std::string::npos);
 }
 
-TEST(MetricsSnapshotTest, OffBuildSnapshotStillStructurallyLive) {
-  // Counts that stay live regardless of CRD_METRICS: total events and
-  // the phase-1 conflict checks.
+TEST(MetricsSnapshotTest, StructuralCountsAreLive) {
+  // Total events and the phase-1 conflict checks.
   Trace T = testgen::randomTrace(11, 3, 30, 4);
   std::string Json = snapshotOf(T, {});
   std::ostringstream Expect;

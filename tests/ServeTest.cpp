@@ -466,6 +466,12 @@ TEST(ServeTest, RemovedOptionsAreUsageErrors) {
   }
   // The daemon refused --policy before binding its socket.
   EXPECT_NE(::access(Sock.c_str(), F_OK), 0);
+  // `crd profile` reads recorded traces only; it has no --source option.
+  std::ostringstream Out, Err;
+  EXPECT_EQ(cli::crdMain({"profile", "--source=live", T.Path}, Out, Err), 2);
+  EXPECT_EQ(Out.str(), "");
+  EXPECT_NE(Err.str().find("unknown option --source"), std::string::npos)
+      << Err.str();
 }
 
 //===----------------------------------------------------------------------===//

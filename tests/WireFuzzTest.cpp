@@ -141,9 +141,7 @@ TEST(WireFuzzTest, SingleBitFlipsThroughTheCrcFold) {
         }
         SCOPED_TRACE(testing::Message() << "byte " << I << " bit " << Bit);
         ASSERT_TRUE(Reader.failed());
-        if (metrics::Enabled) {
-          EXPECT_EQ(Reader.stats().CrcErrors, 1u);
-        }
+        EXPECT_EQ(Reader.stats().CrcErrors, 1u);
         EXPECT_NE(Diags.toString().find("chunk CRC mismatch"),
                   std::string::npos)
             << Diags.toString();

@@ -527,8 +527,8 @@ int runBench(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   row("binary decode+detect", DetectSec, Binary.size());
   if (KernelNs != 0) {
     // How much of decode+detect sat inside the batched detection kernel
-    // (scan + lookahead + both Algorithm 1 phases; docs/observability.md
-    // "kernel_ns"). Zero — and no row — in a CRD_METRICS=OFF build.
+    // (kind scan + both Algorithm 1 phases; docs/observability.md
+    // "kernel_ns").
     double KernelSec = static_cast<double>(KernelNs) * 1e-9;
     std::ostringstream Line;
     Line << std::fixed;
@@ -563,10 +563,6 @@ const char ProfileHelp[] =
     "Exit code 1 = malformed trace, 2 = usage or I/O error.\n"
     "\n"
     "options (--opt=V and --opt V forms are both accepted):\n"
-    "  --source=file|live   where events come from (default file). live is\n"
-    "                       not profiled here: a live session is driven by\n"
-    "                       'crd record --stress' (ingest metrics via its\n"
-    "                       --json flag); profile reads recorded traces\n"
     "  --backend=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
@@ -577,35 +573,15 @@ const char ProfileHelp[] =
 
 int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
                std::ostream &Err) {
-  ParsedArgs Args(
-      joinValueOptions(Raw, {"--source", "--backend", "--spec"}));
+  ParsedArgs Args(joinValueOptions(Raw, {"--backend", "--spec"}));
 
   if (Args.Help) {
     Out << ProfileHelp;
     return ExitClean;
   }
-  if (auto Bad = Args.unknownOption({"source", "backend", "spec", "memo"})) {
+  if (auto Bad = Args.unknownOption({"backend", "spec", "memo"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ProfileHelp;
     return ExitUsage;
-  }
-  // --source is resolved before the positional check: '--source=live'
-  // takes no trace operand, and must not fall through to file-open with
-  // a confusing missing-operand message.
-  if (auto Src = Args.option("source")) {
-    if (*Src == "live")
-      return rejectUnsupported(
-          Err, "profile", "--source=live",
-          "there is no recorded artifact to profile. Drive a live "
-          "ingestion session with 'crd record --stress' (ingest metrics "
-          "via its --json flag, collector timeline via --chrome-trace), "
-          "or record with --out=FILE and profile that file. --memo is "
-          "likewise file-only: chunk memoization needs the recorded "
-          "wire chunks and their content digests, which a live event "
-          "stream does not have.");
-    if (*Src != "file") {
-      Err << "error: --source expects 'file' or 'live'\n";
-      return ExitUsage;
-    }
   }
   if (Args.Positional.size() != 1) {
     Err << ProfileHelp;
@@ -622,10 +598,6 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
   }
   if (!parseMemoMode(Args, Opts.Memo, Err))
     return ExitUsage;
-
-  if (!metrics::Enabled)
-    Err << "warning: this build has CRD_METRICS=OFF; instrumented counters "
-           "and timings read zero\n";
 
   int Exit = ExitClean;
   std::unique_ptr<TranslatedRep> Rep;
