@@ -16,8 +16,10 @@ Three classes of rot this catches:
    `\` continues onto the next, so a flag on a continuation line is still
    tied to its verb. Docs promising options or values the tool dropped (or
    never had) fail the build instead of misleading readers. CHANGES.md is
-   exempt from the value check: its entries name removed values on
-   purpose.
+   exempt from the value check, and CHANGES.md and EXPERIMENTS.md from
+   the verb check for the verbs in REMOVED_VERBS: those history pages
+   name removed values and verbs on purpose. Any other verb `crd --help`
+   does not list fails on every page.
 
 3. Undocumented metrics: every JSON field name the observability snapshot
    emits (the `W.field("...")` / `W.key("...")` calls in
@@ -46,9 +48,9 @@ TOP_LEVEL_PAGES = [
 ]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-# A metrics field emission in the snapshot writer: W.field("name", ...),
-# W.fieldArray("name", ...) or W.key("name").
-METRIC_FIELD_RE = re.compile(r'W\.(?:field|fieldArray|key)\("([a-z0-9_]+)"')
+# A metrics field emission in the snapshot writer: W.field("name", ...)
+# or W.key("name").
+METRIC_FIELD_RE = re.compile(r'W\.(?:field|key)\("([a-z0-9_]+)"')
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CRD_INVOCATION_RE = re.compile(r"\bcrd\s+([a-z][a-z0-9-]*)")
 FLAG_RE = re.compile(r"(--[a-zA-Z][\w-]*)")
@@ -59,6 +61,9 @@ HELP_VALUES_RE = re.compile(r"(--[a-zA-Z][\w-]*)\[?=([\w-]+(?:\|[\w-]+)+)")
 DOC_VALUE_RE = re.compile(r"(--[a-zA-Z][\w-]*)\[?=([\w.|\\-]+)")
 ALWAYS_OK_FLAGS = {"--help", "-h"}
 VALUE_CHECK_EXEMPT = {"CHANGES.md"}
+# Verbs the tool no longer has, which the history pages still name.
+REMOVED_VERBS = {"record"}
+REMOVED_VERB_EXEMPT = {"CHANGES.md", "EXPERIMENTS.md"}
 
 
 def run_help(crd, *args):
@@ -137,6 +142,7 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
     """Returns how many documented flag values were checked."""
     where = page.relative_to(repo_root)
     check_values = page.name not in VALUE_CHECK_EXEMPT
+    removed_verbs_ok = page.name in REMOVED_VERB_EXEMPT
     checked = 0
     for marks, code in code_lines(text):
         for m in CRD_INVOCATION_RE.finditer(code):
@@ -144,6 +150,8 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
             if verb == "help":
                 continue
             if verb not in verbs:
+                if removed_verbs_ok and verb in REMOVED_VERBS:
+                    continue
                 problems.append(
                     f"{where}:{line_at(marks, m.start())}: documented "
                     f"verb 'crd {verb}' is not listed by 'crd --help'"
@@ -191,7 +199,6 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
 # JSON field it emits.
 METRIC_SNAPSHOT_PAIRS = [
     ("src/wire/StreamPipeline.cpp", "docs/observability.md"),
-    ("src/ingest/Session.cpp", "docs/ingestion.md"),
     ("src/serve/Server.cpp", "docs/serve.md"),
 ]
 

@@ -15,15 +15,19 @@
 #   * graceful drain — a real SIGTERM makes the daemon exit 0 with its
 #     "drained:" summary.
 #
-# Like ingest_smoke.sh, concurrency only means something when the daemon,
-# its workers, and the clients can overlap: on a single-CPU host the whole
-# test is a skip (exit 77, the ctest SKIP_RETURN_CODE convention).
+# The sessions analyze the seeded 3 x 20,000-event stress trace that
+# crd_stress_trace (tests/StressTrace.h) writes.
+#
+# Concurrency only means something when the daemon, its workers, and the
+# clients can overlap: on a single-CPU host the whole test is a skip
+# (exit 77, the ctest SKIP_RETURN_CODE convention).
 #
 # Usage: serve_smoke.sh <build-dir>
 set -u
 
 BUILD_DIR="${1:?usage: serve_smoke.sh <build-dir>}"
 CRD="$BUILD_DIR/tools/crd/crd"
+GEN="$BUILD_DIR/tests/crd_stress_trace"
 
 CPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 if [ "$CPUS" -lt 2 ]; then
@@ -49,11 +53,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# A racy recorded trace for the sessions to analyze.
-"$CRD" record --stress --producers=3 --events=20000 --ring=1024 \
-    --out="$WORK_DIR/trace.crdb" >/dev/null 2>&1
-if [ ! -s "$WORK_DIR/trace.crdb" ]; then
-  echo "serve_smoke: could not record a stress trace" >&2
+# A racy stress trace for the sessions to analyze.
+if ! "$GEN" "$WORK_DIR/trace.crdb" 3 20000 >/dev/null 2>"$WORK_DIR/gen.err" ||
+   [ ! -s "$WORK_DIR/trace.crdb" ]; then
+  echo "serve_smoke: could not generate the stress trace:" >&2
+  cat "$WORK_DIR/gen.err" >&2
   exit 1
 fi
 

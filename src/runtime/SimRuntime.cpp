@@ -71,15 +71,6 @@ void SimRuntime::emit(const Event &E) {
     Sink->onEvent(E);
 }
 
-void SimRuntime::notifyExit(ThreadId Thread) {
-  ThreadState &State = Threads[Thread.index()];
-  if (State.ExitNotified || !finished(Thread))
-    return;
-  State.ExitNotified = true;
-  if (Sink->enabled())
-    Sink->onThreadExit(Thread);
-}
-
 bool SimRuntime::finished(ThreadId Thread) const {
   if (Thread.index() >= Threads.size())
     return true;
@@ -124,7 +115,6 @@ size_t SimRuntime::run(EventSink &TheSink) {
         emit(Event::join(Self, Target));
       }
       ++StepsRun;
-      notifyExit(Self);
       continue;
     }
 
@@ -141,16 +131,7 @@ size_t SimRuntime::run(EventSink &TheSink) {
     for (auto It = Handle.Deferred.rbegin(), E = Handle.Deferred.rend();
          It != E; ++It)
       StateAfter.Program.push_front(std::move(*It));
-
-    // A thread whose last step just ran is gone mid-run, exactly like a
-    // real producer exiting while others keep going.
-    notifyExit(Self);
   }
-
-  // Threads that never got a runnable step (empty initial programs)
-  // still terminate; close them out before the sink goes away.
-  for (uint32_t I = 0, E = static_cast<uint32_t>(Threads.size()); I != E; ++I)
-    notifyExit(ThreadId(I));
 
 #ifndef NDEBUG
   // Every thread must have terminated; a leftover waiter means a join cycle.

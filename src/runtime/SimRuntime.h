@@ -120,14 +120,9 @@ private:
     std::deque<SimStep> Program;
     std::optional<ThreadId> WaitingOn;
     bool JoinEventPending = false;
-    /// Whether the sink's onThreadExit() already fired for this thread.
-    bool ExitNotified = false;
   };
 
   void emit(const Event &E);
-  /// Fires the sink's onThreadExit() once when \p Thread has terminated
-  /// (program empty, not waiting); no-op otherwise.
-  void notifyExit(ThreadId Thread);
   ThreadId forkThread(ThreadId Parent, SimStep Body);
   uint64_t drawRandom(uint64_t Bound);
 

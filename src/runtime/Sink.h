@@ -8,10 +8,13 @@
 /// Event sinks connect the simulated instrumented runtime (the RoadRunner
 /// substitute) to the analyses. Every instrumented operation reports the
 /// low-level reads/writes/lock operations it performs and the high-level
-/// action it constitutes; a sink routes those events to a detector, a trace
-/// recorder, or nowhere (the "uninstrumented" configuration — enabled()
-/// returns false so instrumentation sites skip event materialization
-/// entirely, mimicking running without the instrumenting framework).
+/// action it constitutes; a sink routes those events to a detector (a
+/// StreamPipeline is one), a trace recorder, a wire writer, or nowhere (the
+/// "uninstrumented" configuration — enabled() returns false so
+/// instrumentation sites skip event materialization entirely, mimicking
+/// running without the instrumenting framework). The runtime emits one
+/// totally ordered stream, so a sink sees events one at a time, in trace
+/// order, from one thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +34,6 @@ public:
   virtual bool enabled() const { return true; }
 
   virtual void onEvent(const Event &E) = 0;
-
-  /// Lifecycle notification: thread \p T has run to completion and will
-  /// emit no further events. Default no-op — only sinks that keep
-  /// per-thread state care (the live-ingestion recorder closes that
-  /// thread's ring so its stream ends mid-run instead of at teardown).
-  virtual void onThreadExit(ThreadId T) { (void)T; }
 };
 
 /// Drops everything; models the uninstrumented run.
@@ -80,12 +77,6 @@ public:
       A.onEvent(E);
     if (B.enabled())
       B.onEvent(E);
-  }
-  void onThreadExit(ThreadId T) override {
-    if (A.enabled())
-      A.onThreadExit(T);
-    if (B.enabled())
-      B.onThreadExit(T);
   }
 
 private:

@@ -6,18 +6,17 @@
 ///
 /// \file
 /// The observability primitives threaded through the detector stack:
-/// single-writer counters, fixed-bucket histograms, and a monotonic
-/// nanosecond clock. They are always compiled: an increment is one plain
-/// add, and clocks are read at batch or chunk granularity, never per
-/// event.
+/// single-writer counters and a monotonic nanosecond clock. They are
+/// always compiled: an increment is one plain add, and clocks are read at
+/// batch or chunk granularity, never per event.
 ///
-/// Concurrency model: every counter and histogram has exactly ONE writer
-/// (the detector thread, a specific producer or collector thread).
-/// Readers only look after the owning pipeline has quiesced, so plain
-/// non-atomic fields suffice — what the layer guarantees instead is
-/// *placement*: `Counter` is padded to a cache line so per-thread
-/// counters laid out in arrays never share a line across writer threads
-/// (MetricsTest hammers this).
+/// Concurrency model: every counter has exactly ONE writer at a time, the
+/// thread feeding its pipeline (in `crd serve`, whichever worker runs the
+/// session; a session runs on at most one worker at once). Readers only
+/// look after the owning pipeline has quiesced, so plain non-atomic
+/// fields suffice — what the layer guarantees instead is *placement*:
+/// `Counter` is padded to a cache line so counters laid out in arrays
+/// never share a line across writer threads (MetricsTest hammers this).
 ///
 /// Snapshots are emitted as JSON through `JsonWriter`. The snapshot schema
 /// is documented in `docs/observability.md`.
@@ -29,7 +28,6 @@
 
 #include "support/JsonEscape.h"
 
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -68,46 +66,6 @@ public:
 
 private:
   uint64_t V = 0;
-};
-
-/// Fixed-bucket histogram with power-of-two bucketing: bucket i counts
-/// values in [2^(i-1), 2^i) (bucket 0 counts zero), the last bucket absorbs
-/// the tail. Used for wide-range quantities (latencies in ns).
-template <size_t N> class Pow2Histogram {
-  static_assert(N >= 2, "a histogram needs at least two buckets");
-
-public:
-  void record(uint64_t V) {
-    ++Buckets[bucketOf(V)];
-    ++Total;
-    Sum += V;
-    if (V > Peak)
-      Peak = V;
-  }
-
-  /// Bucket index for \p V: 0 for 0, otherwise 1 + floor(log2 V), capped.
-  static constexpr size_t bucketOf(uint64_t V) {
-    size_t B = 0;
-    while (V != 0 && B < N - 1) {
-      V >>= 1;
-      ++B;
-    }
-    return B;
-  }
-
-  static constexpr size_t bucketCount() { return N; }
-  uint64_t bucket(size_t I) const { return Buckets[I]; }
-  uint64_t count() const { return Total; }
-  uint64_t sum() const { return Sum; }
-  uint64_t max() const { return Peak; }
-
-  std::array<uint64_t, N> counts() const { return Buckets; }
-
-private:
-  std::array<uint64_t, N> Buckets{};
-  uint64_t Total = 0;
-  uint64_t Sum = 0;
-  uint64_t Peak = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -197,15 +155,6 @@ public:
   void field(std::string_view K, const char *V) {
     key(K);
     value(std::string_view(V));
-  }
-
-  /// `"K": [a, b, ...]` from any uint64 range (histogram bucket arrays).
-  template <typename Range> void fieldArray(std::string_view K, const Range &R) {
-    key(K);
-    beginArray();
-    for (uint64_t V : R)
-      value(V);
-    endArray();
   }
 
 private:

@@ -100,8 +100,8 @@ public:
   /// EventSink: feeds one event.
   void onEvent(const Event &E) override;
 
-  /// Push-side counterpart of run()'s batched pull, used by the live
-  /// ingestion collector: feeds a whole batch. On return \p B is empty
+  /// Feeds a whole batch: the step run() repeats on each pulled batch,
+  /// open to callers that cut their own batches. On return \p B is empty
   /// with warm buffers, so a caller can refill the same batch
   /// allocation-free.
   void processBatch(EventBatch &B);

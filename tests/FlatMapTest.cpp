@@ -1,21 +1,18 @@
-//===- tests/FlatMapTest.cpp - FlatMap and SpscRing properties ----------------===//
+//===- tests/FlatMapTest.cpp - FlatMap properties ----------------------------===//
 //
 // Part of the CRD project (PLDI 2014 "Commutativity Race Detection" repro).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Property suite for the hot-path support structures: the swiss-table
-/// FlatMap (model-checked against std::unordered_map through randomized
+/// Property suite for the swiss-table FlatMap on the detector's hot path:
+/// model-checked against std::unordered_map through randomized
 /// insert/find/erase interleavings, collision chains, tombstone-avoiding
 /// erase, rehash behavior, control-byte invariants, group wraparound, and
-/// a SIMD-vs-scalar probe differential) and the bounded SPSC ring that
-/// carries live producers' events (FIFO order, blocking backpressure,
-/// close semantics).
+/// a SIMD-vs-scalar probe differential.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/FlatMap.h"
-#include "support/SpscRing.h"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +20,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -365,138 +361,6 @@ TEST(FlatMapTest, SimdAndScalarProbePathsAgree) {
     C.erase(K);
   for (uint32_t K = 0; K != 96; ++K)
     ASSERT_EQ(C.find(K), C.findScalar(K)) << "colliding key " << K;
-}
-
-TEST(SpscRingTest, InlinePushPopFifo) {
-  SpscRing<int> Ring(4);
-  Ring.push(1);
-  Ring.push(2);
-  Ring.push(3);
-  int V = 0;
-  EXPECT_TRUE(Ring.pop(V));
-  EXPECT_EQ(V, 1);
-  EXPECT_TRUE(Ring.tryPop(V));
-  EXPECT_EQ(V, 2);
-  EXPECT_TRUE(Ring.pop(V));
-  EXPECT_EQ(V, 3);
-  EXPECT_FALSE(Ring.tryPop(V));
-}
-
-TEST(SpscRingTest, CloseWakesAndDrains) {
-  SpscRing<int> Ring(4);
-  Ring.push(7);
-  Ring.close();
-  int V = 0;
-  EXPECT_TRUE(Ring.pop(V)); // Closed but not drained yet.
-  EXPECT_EQ(V, 7);
-  EXPECT_FALSE(Ring.pop(V)); // Drained: pop reports end-of-stream.
-  EXPECT_TRUE(Ring.closed());
-}
-
-TEST(SpscRingTest, CrossThreadTransferWithBackpressure) {
-  // Capacity 2 with 10000 items forces the producer to block on a full
-  // ring and the consumer on an empty one, exercising both wait paths.
-  SpscRing<uint64_t> Ring(2);
-  constexpr uint64_t N = 10000;
-  std::jthread Producer([&Ring] {
-    for (uint64_t I = 0; I != N; ++I)
-      Ring.push(uint64_t(I));
-    Ring.close();
-  });
-  uint64_t Expected = 0, V = 0;
-  while (Ring.pop(V)) {
-    ASSERT_EQ(V, Expected);
-    ++Expected;
-  }
-  EXPECT_EQ(Expected, N);
-}
-
-TEST(SpscRingTest, TryPopNBatchedDrain) {
-  SpscRing<int> Ring(8);
-  for (int I = 0; I != 5; ++I)
-    Ring.push(int(I));
-  int Out[8] = {};
-  // A batch smaller than the backlog drains exactly Max, in FIFO order.
-  EXPECT_EQ(Ring.tryPopN(Out, 3), 3u);
-  EXPECT_EQ(Out[0], 0);
-  EXPECT_EQ(Out[1], 1);
-  EXPECT_EQ(Out[2], 2);
-  // A batch larger than the backlog drains what is there.
-  EXPECT_EQ(Ring.tryPopN(Out, 8), 2u);
-  EXPECT_EQ(Out[0], 3);
-  EXPECT_EQ(Out[1], 4);
-  EXPECT_EQ(Ring.tryPopN(Out, 8), 0u);
-  // Max = 0 is a no-op even with items queued.
-  Ring.push(9);
-  EXPECT_EQ(Ring.tryPopN(Out, 0), 0u);
-  EXPECT_EQ(Ring.approxSize(), 1u);
-}
-
-TEST(SpscRingTest, TryPopNWrapsAroundCapacity) {
-  // Drive the indices past the wrap point so one tryPopN spans the
-  // physical end of the slot array.
-  SpscRing<int> Ring(4);
-  int Out[4] = {};
-  for (int Round = 0; Round != 8; ++Round) {
-    Ring.push(Round * 2);
-    Ring.push(Round * 2 + 1);
-    EXPECT_EQ(Ring.tryPopN(Out, 4), 2u);
-    EXPECT_EQ(Out[0], Round * 2);
-    EXPECT_EQ(Out[1], Round * 2 + 1);
-  }
-}
-
-TEST(SpscRingTest, ApproxSizeExactFromConsumer) {
-  SpscRing<int> Ring(8);
-  EXPECT_EQ(Ring.approxSize(), 0u);
-  for (int I = 0; I != 6; ++I) {
-    Ring.push(int(I));
-    EXPECT_EQ(Ring.approxSize(), static_cast<size_t>(I + 1));
-  }
-  int V = 0;
-  Ring.pop(V);
-  EXPECT_EQ(Ring.approxSize(), 5u);
-  Ring.close(); // The ClosedBit must not leak into the size.
-  EXPECT_EQ(Ring.approxSize(), 5u);
-}
-
-// Differential check: a consumer draining with tryPopN must see exactly
-// the sequence a pop()-at-a-time consumer would, under a producer that
-// hits the full-ring wait path. Batch sizes vary per round to cover
-// partial, exact, and over-sized batches.
-TEST(SpscRingTest, TryPopNDifferentialAgainstPop) {
-  SpscRing<uint64_t> Ring(4);
-  constexpr uint64_t N = 20000;
-  std::jthread Producer([&Ring] {
-    for (uint64_t I = 0; I != N; ++I)
-      Ring.push(uint64_t(I));
-    Ring.close();
-  });
-  uint64_t Expected = 0;
-  uint64_t Out[7];
-  size_t Batch = 1;
-  for (;;) {
-    size_t Got = Ring.tryPopN(Out, Batch);
-    if (Got == 0) {
-      if (Ring.closed() && Ring.approxSize() == 0)
-        break;
-      continue;
-    }
-    ASSERT_LE(Got, Batch);
-    for (size_t I = 0; I != Got; ++I, ++Expected)
-      ASSERT_EQ(Out[I], Expected);
-    Batch = Batch % 7 + 1;
-  }
-  EXPECT_EQ(Expected, N);
-}
-
-TEST(SpscRingTest, MoveOnlyPayload) {
-  SpscRing<std::unique_ptr<int>> Ring(2);
-  Ring.push(std::make_unique<int>(5));
-  std::unique_ptr<int> P;
-  EXPECT_TRUE(Ring.pop(P));
-  ASSERT_NE(P, nullptr);
-  EXPECT_EQ(*P, 5);
 }
 
 } // namespace

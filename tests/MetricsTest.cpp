@@ -4,12 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Unit tests for support/Metrics.h (counters, histograms, JSON emission)
-/// plus end-to-end snapshot properties of the pipeline instrumentation:
-/// counter exactness under one-writer-per-counter concurrency (the padding
-/// contract), histogram bucketing, JsonWriter escaping, and
-/// determinism of the JSON snapshot across identical runs (modulo `_ns`
-/// timing fields).
+/// Unit tests for support/Metrics.h (counters, JSON emission) plus
+/// end-to-end snapshot properties of the pipeline instrumentation: counter
+/// exactness under one-writer-per-counter concurrency (the padding
+/// contract), JsonWriter escaping, and determinism of the JSON snapshot
+/// across identical runs (modulo `_ns` timing fields).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,24 +74,6 @@ TEST(MetricsCounterTest, ExactUnderOneWriterPerCounter) {
 }
 
 //===----------------------------------------------------------------------===//
-// Histograms
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsHistogramTest, Pow2BucketBoundaries) {
-  using H = Pow2Histogram<8>;
-  EXPECT_EQ(H::bucketOf(0), 0u);
-  EXPECT_EQ(H::bucketOf(1), 1u);
-  EXPECT_EQ(H::bucketOf(2), 2u);
-  EXPECT_EQ(H::bucketOf(3), 2u);
-  EXPECT_EQ(H::bucketOf(4), 3u);
-  EXPECT_EQ(H::bucketOf(63), 6u);
-  EXPECT_EQ(H::bucketOf(64), 7u);
-  // Tail absorbs everything wider than the bucket range.
-  EXPECT_EQ(H::bucketOf(1u << 20), 7u);
-  EXPECT_EQ(H::bucketOf(~uint64_t(0)), 7u);
-}
-
-//===----------------------------------------------------------------------===//
 // JsonWriter
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +86,11 @@ TEST(MetricsJsonTest, NestedObjectsAndArrays) {
   W.beginObject();
   W.field("b", true);
   W.endObject();
-  W.fieldArray("c", std::vector<uint64_t>{1, 2, 3});
+  W.key("c");
+  W.beginArray();
+  for (uint64_t V : {1, 2, 3})
+    W.value(V);
+  W.endArray();
   W.endObject();
   EXPECT_EQ(OS.str(), "{\n"
                       "  \"a\": 1,\n"

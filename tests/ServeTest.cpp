@@ -472,6 +472,13 @@ TEST(ServeTest, RemovedOptionsAreUsageErrors) {
   EXPECT_EQ(Out.str(), "");
   EXPECT_NE(Err.str().find("unknown option --source"), std::string::npos)
       << Err.str();
+  // There is no recorder verb: live producers stream to `crd serve`.
+  std::ostringstream RecordOut, RecordErr;
+  EXPECT_EQ(cli::crdMain({"record", "--stress"}, RecordOut, RecordErr), 2);
+  EXPECT_EQ(RecordOut.str(), "");
+  EXPECT_NE(RecordErr.str().find("unknown command 'record'"),
+            std::string::npos)
+      << RecordErr.str();
 }
 
 //===----------------------------------------------------------------------===//

@@ -332,15 +332,20 @@ Trace allSyncTrace() {
 /// Feeds \p T to StreamPipeline::processBatch in hand-cut batches of
 /// every size under test and expects the full race structs its callback
 /// saw, and the race count, to equal those of
-/// CommutativityRaceDetector::process() fed event by event. Returns the
+/// CommutativityRaceDetector::process() fed event by event and those of a
+/// pipeline that pulls the binary encoding through run(). Returns the
 /// reference race count so callers can assert the trace was non-trivial.
 size_t expectBatchedMatchesPerEvent(const Trace &T) {
   CommutativityRaceDetector Reference;
   Reference.setDefaultProvider(&dictRep());
   for (const Event &E : T)
     Reference.process(E);
+  std::unique_ptr<StreamPipeline> Pulled;
+  testgen::StreamedRaces PulledGot;
+  runBinary(T, {Backend::Sequential}, Pulled, PulledGot);
+  expectRacesIdentical(PulledGot.Races, Reference.races());
 
-  for (size_t Batch : {1, 2, 3, 4, 5, 17, 64}) {
+  for (size_t Batch : {1, 2, 3, 4, 5, 7, 17, 64}) {
     SCOPED_TRACE(::testing::Message() << "batch=" << Batch);
     StreamPipeline P({Backend::Sequential});
     P.setDefaultProvider(&dictRep());
@@ -382,6 +387,7 @@ TEST(StreamPipelineTest, BatchedKernelMatchesPerEventOnRandomTraces) {
     SCOPED_TRACE(::testing::Message() << "seed=" << Seed);
     Races += expectBatchedMatchesPerEvent(testgen::randomTrace(Seed, 4, 50, 6));
   }
+  Races += expectBatchedMatchesPerEvent(testgen::randomTrace(77, 3, 120, 6));
   EXPECT_GT(Races, 0u) << "seeds produced no races; pick others";
 }
 

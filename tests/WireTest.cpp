@@ -18,7 +18,9 @@
 ///   * WireSink records a live SimRuntime execution bit-equal to the
 ///     TraceRecorder + writeTrace path;
 ///   * the paper's H2 circuit reports the same pinned races through the
-///     binary stream and through text parsing.
+///     binary stream and through text parsing;
+///   * the seeded stress trace (StressTrace.h) is well-formed, hands locks
+///     across threads, races, and encodes to the same bytes every time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +40,14 @@
 #include "wire/WireWriter.h"
 #include "workloads/PolePosition.h"
 #include "StreamedRaces.h"
+#include "StressTrace.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 using namespace crd;
@@ -543,6 +547,60 @@ TEST(EventSourceTest, H2RacesPinnedOnBinaryAndTextPaths) {
   Det.processTrace(*Parsed);
   EXPECT_EQ(Det.distinctRacyObjects(), 3u);
   EXPECT_TRUE(Det.races() == Got.Races);
+}
+
+//===----------------------------------------------------------------------===//
+// The stress trace (StressTrace.h)
+//===----------------------------------------------------------------------===//
+
+// The input of crd_bench_decode (4 x 25,000 events) and serve-stress
+// (3 x 20,000), plus a size whose scripts end where a lock window would
+// open: well-formed, with cross-thread lock hand-offs, racy under the
+// builtin dictionary spec, and the same bytes from every generation.
+TEST(StressTraceTest, WellFormedRacyAndReproducible) {
+  DiagnosticEngine SpecDiags;
+  auto Rep = translateSpec(dictionarySpec(), SpecDiags);
+  ASSERT_TRUE(Rep) << SpecDiags.toString();
+  struct Size {
+    unsigned Threads;
+    uint64_t EventsPerThread;
+  };
+  for (Size Z : {Size{4, 25000}, Size{3, 20000}, Size{5, 3 * 64 + 1}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << Z.Threads << " x " << Z.EventsPerThread);
+    Trace T = testgen::stressTrace(testgen::StressSeed, Z.Threads,
+                                   Z.EventsPerThread);
+    ASSERT_EQ(T.size(), Z.Threads * Z.EventsPerThread);
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(T.validate(Diags)) << Diags.toString();
+
+    // A hand-off: thread B acquires L right after thread A != B released it.
+    std::unordered_map<uint32_t, ThreadId> LastReleaser;
+    size_t HandOffs = 0;
+    for (const Event &E : T) {
+      if (E.kind() == EventKind::Release)
+        LastReleaser.insert_or_assign(E.lock().index(), E.thread());
+      if (E.kind() != EventKind::Acquire)
+        continue;
+      auto It = LastReleaser.find(E.lock().index());
+      HandOffs += It != LastReleaser.end() && It->second != E.thread();
+    }
+    EXPECT_GT(HandOffs, 0u);
+
+    std::string Bytes = testgen::stressWire(testgen::StressSeed, Z.Threads,
+                                            Z.EventsPerThread);
+    EXPECT_TRUE(Bytes == testgen::stressWire(testgen::StressSeed, Z.Threads,
+                                             Z.EventsPerThread));
+    std::istringstream In(Bytes);
+    DiagnosticEngine WireDiags;
+    BinaryStreamSource Source(In, WireDiags);
+    StreamPipeline P({Backend::Sequential});
+    P.setDefaultProvider(Rep.get());
+    StreamSummary S = P.run(Source);
+    EXPECT_FALSE(Source.failed()) << WireDiags.toString();
+    EXPECT_EQ(S.Events, T.size());
+    EXPECT_GT(S.Races, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -747,7 +747,6 @@ const char DriverHelp[] =
     "  stats     chunk / size / compression report for a trace file\n"
     "  bench     ingestion throughput: text parse vs binary decode\n"
     "  profile   metrics snapshot (JSON) for a run\n"
-    "  record    live multi-producer recording stress into live detection\n"
     "  serve     multi-tenant detection daemon over sockets (and client)\n"
     "  analyze   full offline report (races, triage, atomicity)\n"
     "\n"
@@ -777,8 +776,6 @@ int cli::crdMain(const std::vector<std::string> &Args, std::ostream &Out,
     return runBench(Parsed, Out, Err);
   if (Command == "profile")
     return runProfile(Rest, Out, Err);
-  if (Command == "record")
-    return internal::runRecord(Rest, Out, Err);
   if (Command == "serve")
     return internal::runServe(Rest, Out, Err);
   if (Command == "analyze")

@@ -13,7 +13,8 @@
 ///   crd check   [opts] <t>   run a detector over a trace, streamed
 ///   crd stats   <t>          chunk / size / compression-ratio report
 ///   crd bench   [opts] <t>   ingestion throughput: text vs binary
-///   crd record  [opts]       live multi-producer recording stress
+///   crd profile [opts] <t>   metrics snapshot (JSON) for a run
+///   crd serve   [opts]       detection daemon over sockets, and its client
 ///   crd analyze <t> [spec]   the full offline report (trace_analyzer)
 ///
 /// Exit codes: 0 = success / no findings, 1 = races, violations or

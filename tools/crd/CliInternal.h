@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Argument-parsing and spec-loading helpers shared by the subcommand
-/// translation units (Cli.cpp, RecordCmd.cpp). Internal to the crd tool —
+/// translation units (Cli.cpp, ServeCmd.cpp). Internal to the crd tool —
 /// not part of the crd_cli library's public surface.
 ///
 //===----------------------------------------------------------------------===//
@@ -177,8 +177,8 @@ inline bool parseMemoMode(const ParsedArgs &Args, wire::MemoMode &Out,
 /// design: every mode-restricted flag reports as
 ///   error: <combination> is not supported by 'crd <verb>': <route>
 /// where \p Route names the supported way to get the same effect. Keeps
-/// serve/record/profile restriction messages interchangeable instead of
-/// each hand-rolling its own phrasing.
+/// the verbs' restriction messages interchangeable instead of each
+/// hand-rolling its own phrasing.
 inline int rejectUnsupported(std::ostream &Err, const char *Verb,
                              const std::string &Combination,
                              const std::string &Route) {
@@ -186,10 +186,6 @@ inline int rejectUnsupported(std::ostream &Err, const char *Verb,
       << "': " << Route << "\n";
   return ExitUsage;
 }
-
-/// The `crd record` implementation (RecordCmd.cpp).
-int runRecord(const std::vector<std::string> &Raw, std::ostream &Out,
-              std::ostream &Err);
 
 /// The `crd serve` implementation (ServeCmd.cpp).
 int runServe(const std::vector<std::string> &Raw, std::ostream &Out,

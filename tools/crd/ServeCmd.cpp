@@ -21,6 +21,9 @@
 #include "serve/Server.h"
 
 #include <arpa/inet.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -106,6 +109,20 @@ void handleShutdownSignal(int) {
     S->requestStop();
 }
 
+/// Pins glibc's mmap threshold at 4 MiB, which also pins the trim
+/// threshold at its 128 KiB default. Left dynamic, each mapped block a
+/// session frees raises the mmap threshold to that block's size and the
+/// trim threshold to twice that, so each per-thread arena may keep that
+/// much free memory at its top, which malloc_trim() does not release: the
+/// daemon's resident size after a wave then follows how past sessions
+/// interleaved, not what is still live. Blocks under 4 MiB stay in the
+/// arenas, where they cost no system call.
+void pinMallocThresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 4 << 20);
+#endif
+}
+
 int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   serve::ServeOptions Opts;
   Opts.UnixPath = Args.option("socket").value_or("");
@@ -172,6 +189,7 @@ int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     return Exit;
   Opts.Provider = Rep.get();
 
+  pinMallocThresholds();
   serve::Server Server(std::move(Opts));
   std::string Error;
   if (!Server.start(Error)) {
