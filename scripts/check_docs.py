@@ -62,7 +62,7 @@ DOC_VALUE_RE = re.compile(r"(--[a-zA-Z][\w-]*)\[?=([\w.|\\-]+)")
 ALWAYS_OK_FLAGS = {"--help", "-h"}
 VALUE_CHECK_EXEMPT = {"CHANGES.md"}
 # Verbs the tool no longer has, which the history pages still name.
-REMOVED_VERBS = {"record"}
+REMOVED_VERBS = {"record", "bench"}
 REMOVED_VERB_EXEMPT = {"CHANGES.md", "EXPERIMENTS.md"}
 
 

@@ -37,7 +37,6 @@
 #include "detect/Race.h"
 #include "support/EpochClock.h"
 #include "support/FlatMap.h"
-#include "support/Metrics.h"
 #include "trace/Event.h"
 
 #include <array>
@@ -150,7 +149,7 @@ public:
         CachedState = &stateFor(A.object());
         CachedObj = A.object();
       } else {
-        CacheHits.inc();
+        ++CacheHits;
       }
       ThreadId T = E.thread();
       if (!CachedClock || !(CachedThread == T)) {
@@ -159,7 +158,7 @@ public:
       }
       onActionResolved(A, T, *CachedClock, BaseIndex + Pos[I], *CachedState);
     }
-    KernelEventsCtr.add(NPos);
+    KernelEventsCtr += NPos;
   }
 
   /// onAction() with the per-object state already resolved — the body of
@@ -167,7 +166,7 @@ public:
   void onActionResolved(const Action &A, ThreadId Thread,
                         const VectorClock &Clock, size_t EventIndex,
                         ObjectState &State) {
-    ActionsSeen.inc();
+    ++ActionsSeen;
     const AccessPointProvider *Provider = State.Provider;
     assert(Provider && "object has no bound access point provider");
 
@@ -199,7 +198,7 @@ public:
         State.Version = ++MutStamp;
       if (Inserted) {
         ++ActivePoints;
-        Activations.inc();
+        ++Activations;
       }
     }
   }
@@ -278,19 +277,19 @@ public:
   /// Adds a replayed chunk's counter deltas (phase-1 probes and actions).
   void addReplayStats(uint64_t Conflicts, uint64_t Actions) {
     ConflictChecks += Conflicts;
-    ActionsSeen.add(Actions);
+    ActionsSeen += Actions;
   }
 
   /// Metrics snapshot (docs/observability.md).
   Algorithm1Stats stats() const {
     Algorithm1Stats S;
-    S.Actions = ActionsSeen.get();
+    S.Actions = ActionsSeen;
     S.ConflictChecks = ConflictChecks;
-    S.ObjectCacheHits = CacheHits.get();
-    S.ObjectCacheMisses = CacheMisses.get();
-    S.Activations = Activations.get();
+    S.ObjectCacheHits = CacheHits;
+    S.ObjectCacheMisses = CacheMisses;
+    S.Activations = Activations;
     S.ActivePoints = ActivePoints;
-    S.KernelEvents = KernelEventsCtr.get();
+    S.KernelEvents = KernelEventsCtr;
     return S;
   }
 
@@ -364,10 +363,10 @@ private:
 
   ObjectState &stateFor(ObjectId Obj) {
     if (LastState && LastObj == Obj) {
-      CacheHits.inc();
+      ++CacheHits;
       return *LastState;
     }
-    CacheMisses.inc();
+    ++CacheMisses;
     auto [Slot, Inserted] = Objects.tryEmplace(Obj);
     if (Inserted) {
       *Slot = std::make_unique<ObjectState>();
@@ -412,11 +411,11 @@ private:
   uint64_t ConfigStamp = 0;///< See configStamp().
   /// Observability counters (single writer — the thread driving the
   /// engine).
-  metrics::Counter ActionsSeen;
-  metrics::Counter CacheHits;
-  metrics::Counter CacheMisses;
-  metrics::Counter Activations;
-  metrics::Counter KernelEventsCtr;
+  uint64_t ActionsSeen = 0;
+  uint64_t CacheHits = 0;
+  uint64_t CacheMisses = 0;
+  uint64_t Activations = 0;
+  uint64_t KernelEventsCtr = 0;
 };
 
 } // namespace crd

@@ -6,6 +6,8 @@
 
 #include "detect/CommutativityDetector.h"
 
+#include "support/Metrics.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -49,7 +51,7 @@ void CommutativityRaceDetector::processKinded(const Event *Evs,
   }
   FlushRun();
   EventIndex += N;
-  KernelNs.add(metrics::nowNs() - Begin);
+  KernelNs += metrics::nowNs() - Begin;
 }
 
 void CommutativityRaceDetector::processTrace(const Trace &T) {

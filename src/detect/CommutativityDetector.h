@@ -62,9 +62,9 @@ public:
   void processBatch(const EventBatch &B);
 
   /// Nanoseconds spent inside the batched kernel (processTrace /
-  /// processBatch), for the per-kernel profile row. Zero on the per-event
-  /// path.
-  uint64_t kernelNs() const { return KernelNs.get(); }
+  /// processBatch), reported as `crd profile`'s `kernel_ns`. Zero on the
+  /// per-event path.
+  uint64_t kernelNs() const { return KernelNs; }
 
   /// Reclaims all auxiliary state of a dead object (the paper's
   /// object-reclamation optimization, §5.3): its active points and their
@@ -168,7 +168,7 @@ private:
   /// steady state).
   std::vector<uint32_t> InvokeScratch;
   std::vector<uint8_t> KindScratch;
-  metrics::Counter KernelNs;
+  uint64_t KernelNs = 0;
 };
 
 } // namespace crd

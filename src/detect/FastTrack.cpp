@@ -36,18 +36,18 @@ void FastTrackDetector::report(MemoryRace::Kind Kind, VarId Var,
 }
 
 void FastTrackDetector::handleRead(const Event &E) {
-  Reads.inc();
+  ++Reads;
   const VectorClock &C = VCState.clockOf(E.thread());
   VarState &X = Vars[E.var()];
   uint32_t Now = C.get(E.thread());
 
   // [Read Same Epoch] / [Read Shared Same Epoch]
   if (X.Read.sameEpoch(E.thread(), Now)) {
-    SameEpochHits.inc();
+    ++SameEpochHits;
     return;
   }
   if (X.Read.isShared() && X.Read.localOf(E.thread()) == Now) {
-    SameEpochHits.inc();
+    ++SameEpochHits;
     return;
   }
 
@@ -72,14 +72,14 @@ void FastTrackDetector::handleRead(const Event &E) {
 }
 
 void FastTrackDetector::handleWrite(const Event &E) {
-  Writes.inc();
+  ++Writes;
   const VectorClock &C = VCState.clockOf(E.thread());
   VarState &X = Vars[E.var()];
   Epoch Current = epochOf(C, E.thread());
 
   // [Write Same Epoch]
   if (X.Write == Current) {
-    SameEpochHits.inc();
+    ++SameEpochHits;
     return;
   }
 

@@ -21,7 +21,6 @@
 #include "hb/VectorClockState.h"
 #include "support/EpochClock.h"
 #include "support/FlatMap.h"
-#include "support/Metrics.h"
 #include "trace/Trace.h"
 
 #include <unordered_set>
@@ -70,10 +69,10 @@ public:
   /// Metrics snapshot (docs/observability.md).
   FastTrackStats stats() const {
     FastTrackStats S;
-    S.Reads = Reads.get();
-    S.Writes = Writes.get();
+    S.Reads = Reads;
+    S.Writes = Writes;
     S.TableProbes = S.Reads + S.Writes;
-    S.SameEpochHits = SameEpochHits.get();
+    S.SameEpochHits = SameEpochHits;
     return S;
   }
 
@@ -116,9 +115,9 @@ private:
   std::unordered_set<VarId> RacyVars;
   size_t EventIndex = 0;
   /// Observability counters (single writer).
-  metrics::Counter Reads;
-  metrics::Counter Writes;
-  metrics::Counter SameEpochHits;
+  uint64_t Reads = 0;
+  uint64_t Writes = 0;
+  uint64_t SameEpochHits = 0;
 };
 
 } // namespace crd

@@ -55,9 +55,18 @@ public:
   void process(const Event &E);
   void processTrace(const Trace &T);
 
-  /// Violations found so far; at most one per atomic block.
+  /// Violations found so far and not yet drained; at most one per atomic
+  /// block.
   const std::vector<AtomicityViolation> &violations() const {
     return Violations;
+  }
+
+  /// Hands every undrained violation to \p Fn in report order, then drops
+  /// them. The streaming pipeline drains after every batch.
+  template <typename F> void drainViolations(F &&Fn) {
+    for (const AtomicityViolation &V : Violations)
+      Fn(V);
+    Violations.clear();
   }
 
   /// Number of transaction nodes created (diagnostics).

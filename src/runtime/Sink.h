@@ -8,8 +8,9 @@
 /// Event sinks connect the simulated instrumented runtime (the RoadRunner
 /// substitute) to the analyses. Every instrumented operation reports the
 /// low-level reads/writes/lock operations it performs and the high-level
-/// action it constitutes; a sink routes those events to a detector (a
-/// StreamPipeline is one), a trace recorder, a wire writer, or nowhere (the
+/// action it constitutes; a sink routes those events to a detector
+/// (DetectorSink, the in-process live path), a trace recorder, a wire
+/// writer (WireSink, for `crd serve` or a file), or nowhere (the
 /// "uninstrumented" configuration — enabled() returns false so
 /// instrumentation sites skip event materialization entirely, mimicking
 /// running without the instrumenting framework). The runtime emits one

@@ -19,7 +19,6 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -72,7 +71,6 @@ Server::~Server() {
   for (Conn &C : Conns)
     closeIfOpen(C.Fd);
   closeIfOpen(UnixFd);
-  closeIfOpen(TcpFd);
   closeIfOpen(WakeRead);
   int W = WakeWrite.exchange(-1);
   if (W >= 0)
@@ -82,8 +80,8 @@ Server::~Server() {
 }
 
 bool Server::start(std::string &Error) {
-  if (Opts.UnixPath.empty() && Opts.TcpPort < 0) {
-    Error = "no listener configured (need a socket path or a TCP port)";
+  if (Opts.UnixPath.empty()) {
+    Error = "no listener configured (need a socket path)";
     return false;
   }
   int Pipe[2];
@@ -96,59 +94,28 @@ bool Server::start(std::string &Error) {
   setNonBlocking(WakeRead);
   setNonBlocking(Pipe[1]);
 
-  if (!Opts.UnixPath.empty()) {
-    if (Opts.UnixPath.size() >= sizeof(sockaddr_un{}.sun_path)) {
-      Error = "socket path too long: " + Opts.UnixPath;
-      return false;
-    }
-    UnixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (UnixFd < 0) {
-      Error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    ::unlink(Opts.UnixPath.c_str()); // Replace a stale socket file.
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    std::strncpy(Addr.sun_path, Opts.UnixPath.c_str(),
-                 sizeof(Addr.sun_path) - 1);
-    if (::bind(UnixFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-            0 ||
-        ::listen(UnixFd, 128) != 0) {
-      Error = "cannot listen on " + Opts.UnixPath + ": " +
-              std::strerror(errno);
-      closeIfOpen(UnixFd);
-      return false;
-    }
-    setNonBlocking(UnixFd);
+  if (Opts.UnixPath.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    Error = "socket path too long: " + Opts.UnixPath;
+    return false;
   }
-
-  if (Opts.TcpPort >= 0) {
-    TcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (TcpFd < 0) {
-      Error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    int One = 1;
-    ::setsockopt(TcpFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK); // Loopback only.
-    Addr.sin_port = htons(static_cast<uint16_t>(Opts.TcpPort));
-    if (::bind(TcpFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-            0 ||
-        ::listen(TcpFd, 128) != 0) {
-      Error = "cannot listen on tcp port " + std::to_string(Opts.TcpPort) +
-              ": " + std::strerror(errno);
-      closeIfOpen(TcpFd);
-      return false;
-    }
-    socklen_t Len = sizeof(Addr);
-    if (::getsockname(TcpFd, reinterpret_cast<sockaddr *>(&Addr), &Len) == 0)
-      BoundTcpPort = ntohs(Addr.sin_port);
-    setNonBlocking(TcpFd);
+  UnixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (UnixFd < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    return false;
   }
+  ::unlink(Opts.UnixPath.c_str()); // Replace a stale socket file.
+  sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Opts.UnixPath.c_str(),
+               sizeof(Addr.sun_path) - 1);
+  if (::bind(UnixFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
+      ::listen(UnixFd, 128) != 0) {
+    Error = "cannot listen on " + Opts.UnixPath + ": " + std::strerror(errno);
+    closeIfOpen(UnixFd);
+    return false;
+  }
+  setNonBlocking(UnixFd);
 
   StartNs = metrics::nowNs();
   Workers.reserve(Opts.Workers);
@@ -187,18 +154,27 @@ void Server::workerLoop() {
       Queue.pop_front();
     }
     S->runWork();
-    if (S->releaseWork())
-      scheduleSession(S);
+    // Let go of the session before its claim: the I/O thread closes only
+    // unclaimed sessions, and the connection's reference keeps this one
+    // alive until the release. So a close drops the last reference, and
+    // the heap trim after the last close finds the session's memory freed.
+    Session &Ran = *S;
+    S.reset();
+    if (Ran.releaseWork())
+      enqueue(Ran.shared_from_this()); // Input arrived: still claimed.
     wakeIo();
   }
 }
 
 void Server::scheduleSession(const std::shared_ptr<Session> &S) {
-  if (!S->claimWork())
-    return; // Already queued or running; releaseWork() will requeue.
+  if (S->claimWork()) // Else already queued or running; the worker requeues.
+    enqueue(S);
+}
+
+void Server::enqueue(std::shared_ptr<Session> S) {
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
-    Queue.push_back(S);
+    Queue.push_back(std::move(S));
   }
   QueueCv.notify_one();
 }
@@ -212,9 +188,9 @@ void Server::collectSpans(Session &S) {
     Timeline.insert(Timeline.end(), Spans.begin(), Spans.end());
 }
 
-void Server::acceptReady(int ListenFd) {
+void Server::acceptReady() {
   while (true) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    int Fd = ::accept(UnixFd, nullptr, nullptr);
     if (Fd < 0)
       return; // EAGAIN (or a transient error): nothing more to accept.
     setNonBlocking(Fd);
@@ -314,8 +290,9 @@ void Server::closeConn(size_t Index) {
   }
   int Fd = C.Fd;
   Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(Index));
-  // Trim before the last client sees EOF, so whoever waited for the
-  // daemon to go idle observes its idle footprint.
+  // The erase dropped the session's last reference (no worker holds a
+  // closable session). Trim before the last client sees EOF, so whoever
+  // waited for the daemon to go idle observes its idle footprint.
   if (Conns.empty())
     releaseFreedHeap();
   closeIfOpen(Fd);
@@ -326,7 +303,6 @@ void Server::beginDrain() {
     return;
   Draining = true;
   closeIfOpen(UnixFd);
-  closeIfOpen(TcpFd);
   for (Conn &C : Conns) {
     if (!C.ReadClosed) {
       ::shutdown(C.Fd, SHUT_RD);
@@ -388,14 +364,10 @@ void Server::run() {
 void Server::ioRound(std::vector<pollfd> &Fds) {
   Fds.clear();
   Fds.push_back({WakeRead, POLLIN, 0});
-  size_t UnixIdx = SIZE_MAX, TcpIdx = SIZE_MAX;
+  size_t UnixIdx = SIZE_MAX;
   if (UnixFd >= 0) {
     UnixIdx = Fds.size();
     Fds.push_back({UnixFd, POLLIN, 0});
-  }
-  if (TcpFd >= 0) {
-    TcpIdx = Fds.size();
-    Fds.push_back({TcpFd, POLLIN, 0});
   }
   size_t ConnBase = Fds.size();
   for (Conn &C : Conns) {
@@ -421,9 +393,7 @@ void Server::ioRound(std::vector<pollfd> &Fds) {
     }
   }
   if (UnixIdx != SIZE_MAX && (Fds[UnixIdx].revents & POLLIN))
-    acceptReady(UnixFd);
-  if (TcpIdx != SIZE_MAX && (Fds[TcpIdx].revents & POLLIN))
-    acceptReady(TcpFd);
+    acceptReady();
 
   // Status requests are answered by the I/O thread — it owns the table.
   for (Conn &C : Conns)
@@ -452,11 +422,11 @@ void Server::ioRound(std::vector<pollfd> &Fds) {
 
   sweepIdle(metrics::nowNs());
 
-  // Close what is finished (done + everything flushed), back to front so
-  // indexes stay valid.
+  // Close what is finished (done, everything flushed, no worker holding
+  // it), back to front so indexes stay valid.
   for (size_t I = Conns.size(); I != 0; --I) {
     Conn &C = Conns[I - 1];
-    if (C.Sess->done() && C.OutPending.empty() && !C.Sess->hasOutput())
+    if (C.OutPending.empty() && C.Sess->closable())
       closeConn(I - 1);
   }
 }

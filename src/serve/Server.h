@@ -5,15 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `crd serve` daemon core: listeners (Unix-domain, optionally
-/// loopback TCP), one poll-based I/O thread (the thread that calls
-/// run()), and a shared pool of detection workers. Connections map 1:1
-/// to Session objects; the I/O thread shuttles bytes between sockets and
-/// sessions, and workers run each session's decode + detection rounds —
-/// at most one worker per session at a time, so detector state never
-/// needs a lock. An idle session holds no queue slot and no worker: its
-/// cost is one pollfd entry and its retained buffers, which is how
-/// hundreds of idle sessions cost ~nothing.
+/// The `crd serve` daemon core: a Unix-domain listener, one poll-based I/O
+/// thread (the thread that calls run()), and a shared pool of detection
+/// workers. Connections map 1:1 to Session objects; the I/O thread
+/// shuttles bytes between sockets and sessions, and workers run each
+/// session's decode + detection rounds — at most one worker per session
+/// at a time, so detector state never needs a lock. An idle session holds
+/// no queue slot and no worker: its cost is one pollfd entry and its
+/// retained buffers, which is how hundreds of idle sessions cost
+/// ~nothing. A worker lets go of a session before it gives the session's
+/// claim back, and the I/O thread closes only unclaimed sessions, so the
+/// close drops the last reference and the heap trim after the last close
+/// finds every session freed.
 ///
 /// Shutdown: requestDrain() (the SIGTERM path; async-signal-safe) stops
 /// accepting, treats every open connection as end-of-trace, lets the
@@ -46,8 +49,7 @@ namespace serve {
 
 /// Daemon configuration (`crd serve` flags map onto this 1:1).
 struct ServeOptions {
-  std::string UnixPath; ///< Unix-domain listen path ("" = none).
-  int TcpPort = -1;     ///< Loopback TCP port (-1 = none, 0 = ephemeral).
+  std::string UnixPath; ///< Unix-domain listen path.
   unsigned Workers = 0; ///< Detection pool size (0 = hardware threads).
   uint64_t IdleTimeoutMs = 0; ///< Kill sessions idle this long (0 = never).
   size_t MaxSessions = 0;     ///< Reject accepts beyond this (0 = unlimited).
@@ -83,7 +85,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds the listeners and spawns the worker pool. Returns false with a
+  /// Binds the listener and spawns the worker pool. Returns false with a
   /// reason in \p Error (nothing half-started: failure cleans up).
   bool start(std::string &Error);
 
@@ -95,10 +97,6 @@ public:
   /// stop is the CLI's convention).
   void requestDrain();
   void requestStop();
-
-  /// The bound TCP port (meaningful after start() when TcpPort >= 0 —
-  /// resolves an ephemeral 0 to the real port).
-  int tcpPort() const { return BoundTcpPort; }
 
   /// Live counters; callable from any thread while run() executes.
   ServeMetrics metricsSnapshot();
@@ -120,11 +118,13 @@ private:
   };
 
   void ioRound(std::vector<pollfd> &Fds);
-  void acceptReady(int ListenFd);
+  void acceptReady();
   void readConn(Conn &C);
   void flushConn(Conn &C);
   void closeConn(size_t Index);
   void scheduleSession(const std::shared_ptr<Session> &S);
+  /// Queues a session that is already claimed.
+  void enqueue(std::shared_ptr<Session> S);
   void beginDrain();
   void sweepIdle(uint64_t NowNs);
   void wakeIo();
@@ -133,8 +133,6 @@ private:
 
   ServeOptions Opts;
   int UnixFd = -1;
-  int TcpFd = -1;
-  int BoundTcpPort = -1;
   int WakeRead = -1;
   std::atomic<int> WakeWrite{-1}; ///< Signal handlers write here.
   std::atomic<bool> DrainRequested{false};

@@ -93,6 +93,11 @@ bool Session::done() const {
   return DoneFlag;
 }
 
+bool Session::closable() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return DoneFlag && OutBuf.empty() && !Scheduled;
+}
+
 bool Session::readPaused() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return RawIn.size() + WorkerBufferedBytes > Limits.MaxBufferedBytes;
@@ -137,10 +142,10 @@ bool Session::claimWork() {
 
 bool Session::releaseWork() {
   std::lock_guard<std::mutex> Lock(Mu);
-  Scheduled = false;
-  // Requeue when input (or an EOF the worker's snapshot missed) arrived
-  // while the round was running.
-  return !DoneFlag && (!RawIn.empty() || (EofSeen && !EofHandled));
+  // Stay claimed for a requeue when input (or an EOF the worker's
+  // snapshot missed) arrived while the round was running.
+  Scheduled = !DoneFlag && (!RawIn.empty() || (EofSeen && !EofHandled));
+  return Scheduled;
 }
 
 void Session::deliverStatus(std::string Doc) {
@@ -169,6 +174,17 @@ template <typename RaceT> void Session::emitRaceLine(const RaceT &R) {
   escapeJsonFrom(RaceLine, Text);
   RaceLine += "\"}";
   emitLine(RaceLine);
+}
+
+void Session::emitViolationLine(const AtomicityViolation &V) {
+  std::ostringstream OS;
+  OS << V;
+  std::string Line = "{\"type\":\"violation\",\"index\":";
+  Line += std::to_string(ViolationLines++);
+  Line += ",\"text\":\"";
+  appendJsonEscaped(Line, OS.str());
+  Line += "\"}";
+  emitLine(Line);
 }
 
 void Session::failSession(std::string_view Reason) {
@@ -311,6 +327,8 @@ bool Session::handleHandshake() {
       [this](const CommutativityRace &R) { emitRaceLine(R); });
   Pipeline->setMemoryRaceCallback(
       [this](const MemoryRace &R) { emitRaceLine(R); });
+  Pipeline->setViolationCallback(
+      [this](const AtomicityViolation &V) { emitViolationLine(V); });
   std::string Hello = "{\"type\":\"hello\",\"session\":";
   Hello += std::to_string(Id);
   Hello += ",\"detector\":\"";
@@ -472,19 +490,6 @@ void Session::finishTrace() {
     return;
   if (Pipeline)
     Pipeline->finish();
-  // Violations have no streaming callback; they surface here, before the
-  // summary, exactly as `crd check` prints them.
-  if (Pipeline)
-    for (const AtomicityViolation &V : Pipeline->violations()) {
-      std::ostringstream OS;
-      OS << V;
-      std::string Line = "{\"type\":\"violation\",\"index\":";
-      Line += std::to_string(ViolationLines++);
-      Line += ",\"text\":\"";
-      appendJsonEscaped(Line, OS.str());
-      Line += "\"}";
-      emitLine(std::move(Line));
-    }
   emitSummary();
   St = State::Done;
   std::lock_guard<std::mutex> Lock(Mu);

@@ -129,9 +129,8 @@ private:
 };
 
 /// One connection's protocol + detection state. Created by the server on
-/// accept; destroyed by the I/O thread once done() and the output buffer
-/// has drained to the socket.
-class Session {
+/// accept; destroyed by the I/O thread once closable().
+class Session : public std::enable_shared_from_this<Session> {
 public:
   Session(uint64_t Id, const SessionLimits &Limits,
           const AccessPointProvider *Provider, bool TraceSpans);
@@ -168,6 +167,10 @@ public:
   /// remaining output flushes.
   bool done() const;
 
+  /// Done, every reply byte taken, and no worker holds the session: the
+  /// server may close the connection and drop the session.
+  bool closable() const;
+
   /// True while the input backlog is over the cap, i.e. the server must
   /// stop polling this connection for reads.
   bool readPaused() const;
@@ -188,11 +191,13 @@ public:
   /// Drains the recorded chrome-trace spans (TraceSpans sessions only).
   std::vector<SessionSpan> takeSpans();
 
-  /// Scheduling handshake with the server's work queue: claim() marks the
-  /// session queued and returns false if it already was; release()
-  /// un-marks it and returns true if more input arrived meanwhile (the
-  /// caller requeues). Guarded by the session mutex so an I/O-thread
-  /// enqueue racing a worker finish never strands input.
+  /// Scheduling handshake with the server's work queue: claimWork() marks
+  /// the session queued and returns false if it already was.
+  /// releaseWork(), called by the worker after a round, keeps the claim
+  /// and returns true when more input arrived meanwhile (the caller
+  /// requeues), and un-marks the session otherwise. Guarded by the
+  /// session mutex so an I/O-thread enqueue racing a worker finish never
+  /// strands input.
   bool claimWork();
   bool releaseWork();
 
@@ -218,6 +223,7 @@ private:
   void emitLine(std::string_view Line);
   /// Renders \p R straight into the reusable reply line: one `race` line.
   template <typename RaceT> void emitRaceLine(const RaceT &R);
+  void emitViolationLine(const AtomicityViolation &V);
   void emitSummary();
   size_t footprintBytes() const;
   bool overFootprintCeiling();

@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability primitives threaded through the detector stack:
-/// single-writer counters and a monotonic nanosecond clock. They are
-/// always compiled: an increment is one plain add, and clocks are read at
-/// batch or chunk granularity, never per event.
+/// The observability primitives threaded through the detector stack: a
+/// monotonic nanosecond clock and the JSON snapshot writer. Counters are
+/// plain `uint64_t` fields of the component they count; an increment is
+/// one add, and clocks are read at batch or chunk granularity, never per
+/// event.
 ///
 /// Concurrency model: every counter has exactly ONE writer at a time, the
 /// thread feeding its pipeline (in `crd serve`, whichever worker runs the
-/// session; a session runs on at most one worker at once). Readers only
-/// look after the owning pipeline has quiesced, so plain non-atomic
-/// fields suffice — what the layer guarantees instead is *placement*:
-/// `Counter` is padded to a cache line so counters laid out in arrays
-/// never share a line across writer threads (MetricsTest hammers this).
+/// session; a session runs on at most one worker at once, and the work
+/// queue's lock orders one worker's writes before the next one's reads).
+/// Readers only look after the owning pipeline has quiesced, so plain
+/// non-atomic fields suffice. No counter is shared between threads, so
+/// none needs padding against false sharing.
 ///
 /// Snapshots are emitted as JSON through `JsonWriter`. The snapshot schema
 /// is documented in `docs/observability.md`.
@@ -42,10 +43,6 @@ namespace metrics {
 /// Always true; kept only because perfbench reads it.
 inline constexpr bool Enabled = true;
 
-/// Cache line size used for counter padding (std::hardware_destructive_
-/// interference_size is not portable across the toolchains we build on).
-inline constexpr size_t CacheLineBytes = 64;
-
 /// Monotonic nanoseconds (steady clock). All `*_ns` snapshot fields are
 /// differences of this clock.
 inline uint64_t nowNs() {
@@ -54,19 +51,6 @@ inline uint64_t nowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// Single-writer event counter, padded so arrays of counters written by
-/// different threads never false-share.
-class alignas(CacheLineBytes) Counter {
-public:
-  void inc() { ++V; }
-  void add(uint64_t N) { V += N; }
-  uint64_t get() const { return V; }
-  void reset() { V = 0; }
-
-private:
-  uint64_t V = 0;
-};
 
 //===----------------------------------------------------------------------===//
 // JsonWriter

@@ -17,13 +17,13 @@
 ///     actions are allocation-free in the common case;
 ///   * a heap block, for larger owning actions;
 ///   * externally (an arena view), for actions decoded from the wire —
-///     the values belong to the decoder's per-chunk arena and the action
-///     holds only a pointer.
+///     the values belong to the arena of the batch they were decoded
+///     into, and the action holds only a pointer.
 /// Copying an action always deep-copies the values into the new action
 /// (inline or heap), so a copy is safe to keep past the source arena's
 /// reset; moving preserves the view. This is the lifetime contract the
-/// streaming pipeline relies on: batches that cross a chunk boundary copy
-/// the actions they retain.
+/// streaming pipeline relies on: a batch pins every action appended to it
+/// from elsewhere into its own arena (EventBatch::append).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +79,7 @@ public:
   }
 
   /// View constructor: \p Vals points at NArgs arguments followed by NRets
-  /// returns owned by someone else (the wire decoder's arena). The action
+  /// returns owned by someone else (a decoded batch's arena). The action
   /// is valid only as long as that storage; copy it to detach.
   Action(ObjectId Obj, Symbol Method, const Value *Vals, uint32_t NArgs,
          uint32_t NRets)

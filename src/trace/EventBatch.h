@@ -59,7 +59,7 @@ struct EventBatch {
   bool empty() const { return Events.empty(); }
 
   /// Appends a copy of \p E, pinning its action payload into this batch
-  /// (so the source — e.g. a wire decoder's per-chunk arena — may reset).
+  /// (so the storage \p E views — e.g. another batch's arena — may reset).
   void append(const Event &E) {
     Kinds.push_back(static_cast<uint8_t>(E.kind()));
     if (E.kind() == EventKind::Invoke)

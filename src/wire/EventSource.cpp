@@ -32,6 +32,18 @@ bool TextStreamSource::next(Event &E) {
   return false;
 }
 
+bool BinaryStreamSource::next(Event &E) {
+  if (Handed == Buffered.size()) {
+    Buffered.clear();
+    Handed = 0;
+    if (Reader.nextBatch(Buffered, PullBatchEvents) == 0)
+      return false;
+  }
+  // The move keeps the action a view into Buffered's arena.
+  E = std::move(Buffered.Events[Handed++]);
+  return true;
+}
+
 namespace {
 
 /// Owns the file stream alongside the wrapped source.

@@ -5,20 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ingestion half of the streaming pipeline: an EventSource yields one
-/// decoded Event at a time, regardless of where the execution comes from —
-/// a binary wire file (WireReader), a textual trace file (line-by-line
-/// parse), or an already-materialized Trace. openEventSource() sniffs the
-/// file magic so every tool accepts both on-disk formats transparently.
+/// The ingestion half of the streaming pipeline: an EventSource yields the
+/// events of one execution in trace order, regardless of where the
+/// execution comes from — a binary wire file (WireReader), a textual trace
+/// file (line-by-line parse), or an already-materialized Trace.
+/// openEventSource() sniffs the file magic so every tool accepts both
+/// on-disk formats transparently. StreamPipeline pulls whole batches; the
+/// offline verbs that walk a trace event by event (convert, stats,
+/// analyze) call next().
 ///
-/// The push-based complement for live executions is an EventSink
-/// (runtime/Sink.h): StreamPipeline implements both, so a SimRuntime can
-/// feed it directly while offline tools pull from a source.
-///
-/// Lifetime: sources may hand out invoke events whose value payloads view
-/// decoder-owned storage (WireReader's per-chunk arena). An event is valid
-/// until the next next() call; consumers that retain one longer copy it
-/// (Action's copy constructor detaches from the arena).
+/// Lifetime: the binary source decodes a batch at a time, and an invoke
+/// event's values live in the arena of the batch that holds it. next()
+/// hands out the events of the source's own batch, so an event it returns
+/// is valid until the next next() call; consumers that retain one longer
+/// copy it (Action's copy constructor detaches from the arena).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,7 @@ public:
   /// every payload (B pins invoke values into its own arena) and carries
   /// the kind array the batched detection kernel scans. The default pulls
   /// next() one event at a time; the binary source overrides this with the
-  /// decoder's chunk-at-a-time path.
+  /// decoder's batch loop.
   virtual size_t nextBatch(EventBatch &B, size_t MaxEvents) {
     Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
     size_t N = 0;
@@ -109,13 +109,20 @@ private:
   bool Failed = false;
 };
 
-/// Streams a binary wire trace chunk-at-a-time.
+/// Events per batch that StreamPipeline and BinaryStreamSource::next()
+/// pull from a source.
+inline constexpr size_t PullBatchEvents = 4096;
+
+/// Streams a binary wire trace. Batches come straight from the decoder's
+/// one loop; next() hands out the events of a batch of its own, refilled
+/// through the same loop. Pull a source either way, not both: nextBatch()
+/// does not see events that next() has buffered.
 class BinaryStreamSource : public EventSource {
 public:
   BinaryStreamSource(std::istream &In, DiagnosticEngine &Diags)
       : Reader(In, Diags) {}
 
-  bool next(Event &E) override { return Reader.next(E); }
+  bool next(Event &E) override;
   size_t nextBatch(EventBatch &B, size_t MaxEvents) override {
     return Reader.nextBatch(B, MaxEvents);
   }
@@ -127,6 +134,8 @@ public:
 
 private:
   WireReader Reader;
+  EventBatch Buffered; ///< next()'s batch.
+  size_t Handed = 0;   ///< Events of Buffered that next() returned.
 };
 
 /// Opens \p Path and returns the matching source: binary when the file

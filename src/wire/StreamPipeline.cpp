@@ -16,9 +16,6 @@ using namespace crd::wire;
 
 namespace {
 
-/// Events per batch pulled from the source into the detection kernel.
-constexpr size_t PullBatchSize = 4096;
-
 const char *backendName(Backend B) {
   switch (B) {
   case Backend::Sequential:
@@ -81,7 +78,7 @@ void StreamPipeline::bind(ObjectId Obj, const AccessPointProvider *Provider) {
     Atom->bind(Obj, Provider);
 }
 
-void StreamPipeline::drainRaces() {
+void StreamPipeline::drainFindings() {
   if (Seq)
     Seq->drainRaces([this](const CommutativityRace &R) {
       if (RaceCallback)
@@ -92,36 +89,12 @@ void StreamPipeline::drainRaces() {
       if (MemoryRaceCallback)
         MemoryRaceCallback(R);
     });
-}
-
-void StreamPipeline::onEvent(const Event &E) {
-  ++Events;
-  switch (E.kind()) {
-  case EventKind::Invoke:
-    InvokeEvents.inc();
-    break;
-  case EventKind::Fork:
-  case EventKind::Join:
-  case EventKind::Acquire:
-  case EventKind::Release:
-    SyncEvents.inc();
-    break;
-  case EventKind::Read:
-  case EventKind::Write:
-    MemEvents.inc();
-    break;
-  case EventKind::TxBegin:
-  case EventKind::TxEnd:
-    TxEvents.inc();
-    break;
-  }
-  if (Seq)
-    Seq->process(E);
-  else if (FT)
-    FT->process(E);
-  else
-    Atom->process(E);
-  drainRaces();
+  if (Atom)
+    Atom->drainViolations([this](const AtomicityViolation &V) {
+      ++Violations;
+      if (ViolationCallback)
+        ViolationCallback(V);
+    });
 }
 
 void StreamPipeline::tallyBatchKinds(const EventBatch &B) {
@@ -137,15 +110,15 @@ void StreamPipeline::tallyBatchKinds(const EventBatch &B) {
                    : (K <= static_cast<uint8_t>(EventKind::Write) ? 2u : 3u));
     ++Tally[Bucket];
   }
-  InvokeEvents.add(Tally[0]);
-  SyncEvents.add(Tally[1]);
-  MemEvents.add(Tally[2]);
-  TxEvents.add(Tally[3]);
+  InvokeEvents += Tally[0];
+  SyncEvents += Tally[1];
+  MemEvents += Tally[2];
+  TxEvents += Tally[3];
 }
 
 void StreamPipeline::processBatch(EventBatch &B) {
   detectBatch(B);
-  drainRaces();
+  drainFindings();
   B.clear();
 }
 
@@ -168,7 +141,7 @@ void StreamPipeline::detectBatch(const EventBatch &B) {
   }
 }
 
-void StreamPipeline::finish() { drainRaces(); }
+void StreamPipeline::finish() { drainFindings(); }
 
 bool StreamPipeline::pumpChunk(WireReader &Reader) {
   // Chunk-at-a-time: verified-repeat chunks consult the summary table
@@ -183,10 +156,10 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
         ++MemoStats.SummaryHits;
         MemoStats.EventsReplayed += S->Events;
         Events += S->Events;
-        InvokeEvents.add(S->Invokes);
-        MemEvents.add(S->MemEvents);
-        TxEvents.add(S->TxEvents);
-        drainRaces();
+        InvokeEvents += S->Invokes;
+        MemEvents += S->MemEvents;
+        TxEvents += S->TxEvents;
+        drainFindings();
         return true;
       }
       if (S->Memoizable)
@@ -218,7 +191,7 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
         MemoTable.erase(View->Digest);
     }
   }
-  drainRaces();
+  drainFindings();
   return true;
 }
 
@@ -236,9 +209,9 @@ void StreamPipeline::pump(EventSource &Source) {
   // processBatch() — for the sequential backend, the detector's kinded
   // kernel (one kind scan per batch, runs through the engine's batched
   // loop) — with the batch recycled each round so
-  // the loop is allocation-free in the steady state. Race callbacks fire
-  // after each batch.
-  while (Source.nextBatch(PumpBatch, PullBatchSize))
+  // the loop is allocation-free in the steady state. Finding callbacks
+  // fire after each batch.
+  while (Source.nextBatch(PumpBatch, PullBatchEvents))
     processBatch(PumpBatch);
 }
 
@@ -253,11 +226,6 @@ StreamSummary StreamPipeline::run(EventSource &Source) {
   return summary();
 }
 
-const std::vector<AtomicityViolation> &StreamPipeline::violations() const {
-  static const std::vector<AtomicityViolation> Empty;
-  return Atom ? Atom->violations() : Empty;
-}
-
 StreamSummary StreamPipeline::summary() const {
   StreamSummary S;
   S.Events = Events;
@@ -269,7 +237,7 @@ StreamSummary StreamPipeline::summary() const {
     S.MemoryRaces = FT->raceCount();
     S.DistinctRacyVars = FT->distinctRacyVars();
   }
-  S.Violations = violations().size();
+  S.Violations = Violations;
   return S;
 }
 
@@ -282,10 +250,10 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
 
   W.key("events_by_kind");
   W.beginObject();
-  W.field("invoke", InvokeEvents.get());
-  W.field("sync", SyncEvents.get());
-  W.field("mem", MemEvents.get());
-  W.field("tx", TxEvents.get());
+  W.field("invoke", InvokeEvents);
+  W.field("sync", SyncEvents);
+  W.field("mem", MemEvents);
+  W.field("tx", TxEvents);
   W.endObject();
 
   StreamSummary Sum = summary();

@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The streaming ingestion pipeline: pulls decoded events from any
-/// EventSource (or receives them pushed as an EventSink from a live
-/// SimRuntime) and feeds them incrementally into a detector backend —
-/// the Algorithm 1 detector, the FastTrack baseline, or the online
-/// atomicity checker. Races are streamed, not retained: after every batch
-/// (or pushed event) each new record goes to the optional callback and is
-/// then dropped, so the pipeline keeps only counters and the distinct
-/// racy objects/locations for the end-of-stream summary, and its memory
-/// does not grow with the race count. No Trace is ever materialized.
+/// The streaming ingestion pipeline: pulls batches of decoded events from
+/// any EventSource (or takes batches a caller cuts itself) and feeds them
+/// incrementally into a detector backend — the Algorithm 1 detector, the
+/// FastTrack baseline, or the online atomicity checker. Findings are
+/// streamed, not retained: after every batch each new race record or
+/// atomicity violation goes to the optional callback and is then dropped,
+/// so the pipeline keeps only counters and the distinct racy
+/// objects/locations for the end-of-stream summary, and its memory does
+/// not grow with the finding count. No Trace is ever materialized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 #include "detect/CommutativityDetector.h"
 #include "detect/FastTrack.h"
 #include "detect/OnlineAtomicity.h"
-#include "runtime/Sink.h"
 #include "wire/EventSource.h"
 
 #include <functional>
@@ -73,8 +72,8 @@ struct PipelineMemoStats {
   uint64_t ChunksInterpreted = 0;///< Chunks run through the detector.
 };
 
-/// Streaming detector pipeline; EventSink so live runtimes can push.
-class StreamPipeline : public EventSink {
+/// Streaming detector pipeline; batches are its only feed.
+class StreamPipeline {
 public:
   explicit StreamPipeline(PipelineOptions Opts = {});
 
@@ -83,12 +82,10 @@ public:
   void setDefaultProvider(const AccessPointProvider *Provider);
   void bind(ObjectId Obj, const AccessPointProvider *Provider);
 
-  /// Invoked for every commutativity race as soon as the backend reports
-  /// it (after the offending event for the per-event feed, after the
-  /// containing batch for the batched feed). The record is dropped once
-  /// the callback returns; copy it to keep it (records are
-  /// self-contained, see Race.h). Without a callback races are only
-  /// counted.
+  /// Invoked for every commutativity race once the batch that holds the
+  /// offending event is processed. The record is dropped once the
+  /// callback returns; copy it to keep it (records are self-contained,
+  /// see Race.h). Without a callback races are only counted.
   void setRaceCallback(std::function<void(const CommutativityRace &)> Cb) {
     RaceCallback = std::move(Cb);
   }
@@ -96,9 +93,11 @@ public:
   void setMemoryRaceCallback(std::function<void(const MemoryRace &)> Cb) {
     MemoryRaceCallback = std::move(Cb);
   }
-
-  /// EventSink: feeds one event.
-  void onEvent(const Event &E) override;
+  /// Atomicity counterpart of setRaceCallback.
+  void setViolationCallback(
+      std::function<void(const AtomicityViolation &)> Cb) {
+    ViolationCallback = std::move(Cb);
+  }
 
   /// Feeds a whole batch: the step run() repeats on each pulled batch,
   /// open to callers that cut their own batches. On return \p B is empty
@@ -139,35 +138,32 @@ public:
   /// alongside the decoder's memo store (EventBatch::memoryFootprint()).
   size_t batchFootprint() const { return PumpBatch.memoryFootprint(); }
 
-  /// Hands any races not yet passed to the callbacks over; call once the
-  /// stream ends. Idempotent.
+  /// Hands any findings not yet passed to the callbacks over; call once
+  /// the stream ends. Idempotent.
   void finish();
 
   size_t eventsProcessed() const { return Events; }
   StreamSummary summary() const;
 
-  /// Atomicity violations (atomicity backend; empty otherwise). They have
-  /// no callback and are retained until the stream ends.
-  const std::vector<AtomicityViolation> &violations() const;
-
   /// The sequential backend, or nullptr for other backends. Exposed so
-  /// callers (crd bench) can read the batched-kernel timing directly. Its
-  /// races() holds no record between batches: the pipeline drains it.
+  /// callers can read the batched-kernel timing and the engine counters
+  /// directly. Its races() holds no record between batches: the pipeline
+  /// drains it.
   const CommutativityRaceDetector *sequentialDetector() const {
     return Seq.get();
   }
 
   /// Emits the observability snapshot as a JSON document (schema:
   /// docs/observability.md). Valid on a quiesced pipeline — after run(),
-  /// or finish() when events were pushed. Pass the \p Source the stream
-  /// was pulled from to include decode-side counters (binary sources
-  /// only).
+  /// or finish() when batches were fed directly. Pass the \p Source the
+  /// stream was pulled from to include decode-side counters (binary
+  /// sources only).
   void writeMetricsJson(std::ostream &OS,
                         const EventSource *Source = nullptr) const;
 
 private:
   /// Hands every undrained record to its callback, then drops it.
-  void drainRaces();
+  void drainFindings();
   void tallyBatchKinds(const EventBatch &B);
   /// processBatch() without the drain and the final clear(): counts and
   /// detects.
@@ -186,16 +182,18 @@ private:
   std::unique_ptr<OnlineAtomicityChecker> Atom;
   std::function<void(const CommutativityRace &)> RaceCallback;
   std::function<void(const MemoryRace &)> MemoryRaceCallback;
+  std::function<void(const AtomicityViolation &)> ViolationCallback;
   size_t Events = 0;
+  size_t Violations = 0; ///< Drained atomicity violations.
   /// Recycled pull batch shared by pump()'s loops, kept as a member so a
   /// resumable stream's many short pump rounds stay allocation-free.
   EventBatch PumpBatch;
   /// Per-kind ingress counters (single writer: the feeding thread).
   /// Invoke + Sync + Mem + Tx == Events.
-  metrics::Counter InvokeEvents;
-  metrics::Counter SyncEvents;
-  metrics::Counter MemEvents;
-  metrics::Counter TxEvents;
+  uint64_t InvokeEvents = 0;
+  uint64_t SyncEvents = 0;
+  uint64_t MemEvents = 0;
+  uint64_t TxEvents = 0;
 };
 
 } // namespace wire

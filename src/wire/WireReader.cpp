@@ -218,20 +218,14 @@ bool WireReader::loadChunk() {
   if (!readChunk(In, Diags, FileOffset, WithDigest, Open.Digest, Payload,
                  Failed, &CrcError)) {
     if (CrcError)
-      CrcErrors.inc();
+      ++CrcErrors;
     return false;
   }
   FileOffset += Payload.size();
   Pos = 0;
   PrevThread = 0;
   PrevObject = 0;
-  PayloadBytes.add(Payload.size());
-  // The previous chunk's batch is fully handed out by now (next() only
-  // loads a chunk once the prior one is drained), so its decoded values
-  // can be reclaimed wholesale.
-  if (ValueArena.bytesUsed() > ArenaPeak)
-    ArenaPeak = ValueArena.bytesUsed();
-  ValueArena.reset();
+  PayloadBytes += Payload.size();
 
   ByteReader R(reinterpret_cast<const uint8_t *>(Payload.data()),
                Payload.size());
@@ -249,31 +243,11 @@ bool WireReader::loadChunk() {
   Pos = R.offset();
   if (WithDigest && !checkChunkDigest(Payload, Pos, Open.Digest, ChunkBase,
                                       Diags, Failed)) {
-    DigestErrors.inc();
+    ++DigestErrors;
     return false;
   }
-  SymbolCount.add(Syms.size());
+  SymbolCount += Syms.size();
   ++NumChunks;
-  return true;
-}
-
-bool WireReader::next(Event &E) {
-  if (Failed)
-    return false;
-  while (EventsLeft == 0) {
-    if (!loadChunk())
-      return false;
-  }
-  if (!decodeEvent(E, ValueArena))
-    return false;
-  --EventsLeft;
-  ++NumEvents;
-  // A chunk's events must consume its payload exactly.
-  if (EventsLeft == 0 && Pos != Payload.size()) {
-    fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
-         " trailing payload bytes after last event");
-    return false;
-  }
   return true;
 }
 
@@ -294,6 +268,7 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
       break;
     --EventsLeft;
     ++NumEvents;
+    // A chunk's events must consume its payload exactly.
     if (EventsLeft == 0 && Pos != Payload.size()) {
       fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
            " trailing payload bytes after last event");

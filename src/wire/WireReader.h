@@ -14,15 +14,14 @@
 /// as a diagnostic with the file offset, never as a crash: the reader is
 /// the wire-fuzz target and must survive arbitrary bytes.
 ///
-/// Lifetime contract for decoded events: an invoke event's argument and
-/// return values live in a per-chunk arena owned by the reader, and the
-/// Event holds an Action *view* into it. The view stays valid until a
-/// next() call crosses into the following chunk (which resets the arena);
-/// consumers that retain an event past that point must copy it — Action's
-/// copy constructor deep-copies the values out. This removes the two heap
-/// vector allocations per decoded invoke that used to dominate the
-/// `crd check` profile: in the steady state the arena chunks and the
-/// scratch buffer are all reused, so decoding allocates nothing.
+/// Events come out in batches, from one decode loop (nextBatch()). The
+/// lifetime rule is the batch's: an invoke event's argument and return
+/// values are decoded straight into the batch's own arena and the Event
+/// holds an Action *view* into it, valid until the batch is cleared. A
+/// batch may span chunks. Consumers that keep an event longer copy it —
+/// Action's copy constructor deep-copies the values out. In the steady
+/// state the recycled batch's arena chunks and the scratch buffer are all
+/// reused, so decoding allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +30,6 @@
 
 #include "support/Arena.h"
 #include "support/Diagnostics.h"
-#include "support/Metrics.h"
 #include "trace/Event.h"
 #include "trace/EventBatch.h"
 #include "wire/WireFormat.h"
@@ -56,8 +54,8 @@ struct WireReaderStats {
   uint64_t DigestErrors = 0;     ///< Chunk-header digest mismatches.
   uint64_t PayloadBytes = 0;     ///< Chunk payload bytes read (ex-headers).
   uint64_t Symbols = 0;          ///< Symbol-table entries across all chunks.
-  uint64_t ArenaPeakBytes = 0;   ///< Peak bytes in the value arena decoded
-                                 ///< into (per chunk, or per pulled batch).
+  uint64_t ArenaPeakBytes = 0;   ///< Peak bytes in a pulled batch's value
+                                 ///< arena.
   uint64_t MemoHits = 0;         ///< beginChunk(): verified repeats.
   uint64_t MemoMisses = 0;       ///< beginChunk(): all other chunks.
   uint64_t MemoBytesSaved = 0;   ///< Payload bytes skipped undecoded.
@@ -75,29 +73,24 @@ enum class MemoMode { Off, Full };
 class WireReader {
 public:
   /// Reads and validates the file header immediately; on failure the
-  /// reader starts out failed and next() returns false.
+  /// reader starts out failed and nextBatch() returns 0.
   WireReader(std::istream &In, DiagnosticEngine &Diags);
-
-  /// Decodes the next event into \p E. Returns false at end of stream or
-  /// on the first structural error (check failed() to distinguish).
-  /// Invoke payloads are arena views — see the lifetime contract above.
-  bool next(Event &E);
 
   /// Batch decode: appends up to \p MaxEvents events to \p B, crossing
   /// chunk boundaries as needed, and returns how many were appended (0 at
-  /// end of stream or on a structural error). Unlike next(), the decoded
-  /// invoke values are pinned in the BATCH's own arena (B.Values), so the
-  /// batch is self-contained — it survives chunk turnover. The kind array
-  /// (B.Kinds) is filled during decode, where the kind byte is already in
-  /// hand — no separate pass.
+  /// end of stream or on the first structural error; check failed() to
+  /// tell them apart). The decoded invoke values are pinned in the
+  /// batch's own arena (B.Values), so the batch is self-contained — it
+  /// survives chunk turnover. The kind array (B.Kinds) is filled during
+  /// decode, where the kind byte is already in hand — no separate pass.
   size_t nextBatch(EventBatch &B, size_t MaxEvents);
 
   /// True once a structural error has been diagnosed; the stream position
-  /// is then unspecified and next() keeps returning false.
+  /// is then unspecified and nextBatch() keeps returning 0.
   bool failed() const { return Failed; }
 
   /// Serving path: tells the reader the underlying stream has grown since
-  /// next()/nextBatch()/beginChunk() last reported end of stream. End of
+  /// nextBatch()/beginChunk() last reported end of stream. End of
   /// stream is non-destructive when it falls on a chunk boundary (the
   /// reader probes for it before the first header byte), so resume()
   /// clears the stream's eof state and the next pull retries the
@@ -115,7 +108,7 @@ public:
   //
   // The chunk API shows the caller each chunk before any of its events is
   // decoded. beginChunk() loads and validates the next chunk exactly as
-  // next() would, then checks its payload against a digest-keyed store:
+  // nextBatch() would, then checks its payload against a digest-keyed store:
   // a chunk byte-identical to the payload stored under its digest is a
   // verified repeat (the full-payload compare makes 64-bit digest
   // collisions harmless); any other chunk's payload is stored. The store
@@ -156,13 +149,11 @@ public:
     WireReaderStats S;
     S.Chunks = NumChunks;
     S.Events = NumEvents;
-    S.CrcErrors = CrcErrors.get();
-    S.DigestErrors = DigestErrors.get();
-    S.PayloadBytes = PayloadBytes.get();
-    S.Symbols = SymbolCount.get();
+    S.CrcErrors = CrcErrors;
+    S.DigestErrors = DigestErrors;
+    S.PayloadBytes = PayloadBytes;
+    S.Symbols = SymbolCount;
     S.ArenaPeakBytes = ArenaPeak;
-    if (ValueArena.bytesUsed() > S.ArenaPeakBytes)
-      S.ArenaPeakBytes = ValueArena.bytesUsed(); // Current chunk still live.
     S.MemoHits = MemoHits;
     S.MemoMisses = MemoMisses;
     S.MemoBytesSaved = MemoBytesSaved;
@@ -184,7 +175,6 @@ private:
   size_t FileOffset = 0;     ///< File offset past everything consumed.
   uint64_t EventsLeft = 0;   ///< Undecoded events in the current chunk.
   std::vector<Symbol> Syms;  ///< Current chunk's symbol table.
-  Arena ValueArena;          ///< Decoded invoke values; reset per chunk.
   std::vector<Value> ScratchValues; ///< Reused value staging buffer.
   uint32_t PrevThread = 0;   ///< Thread delta predictor (resets per chunk).
   uint32_t PrevObject = 0;   ///< Object delta predictor (resets per chunk).
@@ -194,10 +184,10 @@ private:
   size_t NumChunks = 0;
   bool Failed = false;
   /// Observability counters (single writer).
-  metrics::Counter CrcErrors;
-  metrics::Counter DigestErrors;
-  metrics::Counter PayloadBytes;
-  metrics::Counter SymbolCount;
+  uint64_t CrcErrors = 0;
+  uint64_t DigestErrors = 0;
+  uint64_t PayloadBytes = 0;
+  uint64_t SymbolCount = 0;
   uint64_t ArenaPeak = 0;
 
   /// beginChunk()'s payload store: digest -> the first payload seen

@@ -4,14 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Properties of the bump allocator behind the wire decoder's per-chunk
-/// value storage: alignment, chunk growth, reset-reuse (a steady-state
-/// workload must stop acquiring chunks after warmup), and an end-to-end
+/// Properties of the bump allocator behind a decoded batch's value
+/// storage: alignment, chunk growth, reset-reuse (a steady-state workload
+/// must stop acquiring chunks after warmup), and an end-to-end
 /// StreamPipeline run over a many-chunk binary trace. The end-to-end test
-/// is the asan witness for the arena lifetime contract — if any decoded
-/// Value were read after its chunk's reset, the sanitizer build of this
-/// test would flag it, and the race reports would diverge from the
-/// materialized path.
+/// is the asan witness for the batch lifetime rule — if any decoded Value
+/// were read from wire chunk storage the reader had moved past, the
+/// sanitizer build of this test would flag it, and the race reports would
+/// diverge from the materialized path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,7 +120,7 @@ TEST(ArenaTest, ResetRecyclesStorage) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end lifetime: decoded values vs chunk resets
+// End-to-end lifetime: decoded values vs chunk turnover
 //===----------------------------------------------------------------------===//
 
 const DictionaryRep &dictRep() {
@@ -151,10 +151,10 @@ std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
 }
 
 TEST(ArenaTest, StreamPipelineSurvivesChunkResets) {
-  // Tiny wire chunks (8 events) maximize arena resets mid-stream; each
-  // pulled batch spans dozens of chunks, so its pinned payloads must
-  // survive every reset in between. Any value read after its chunk's
-  // reset is a use-after-reset asan would catch here, and stale bytes
+  // Tiny wire chunks (8 events) turn the reader's chunk storage over
+  // dozens of times per pulled batch, so every decoded payload must live
+  // in the batch's own arena. A value read from a chunk the reader has
+  // moved past is a use-after-free asan would catch here, and stale bytes
   // would change the race reports against the materialized baseline.
   Trace T = testgen::randomTrace(/*Seed=*/20140607, /*Workers=*/4,
                                  /*OpsPerWorker=*/120, /*Keys=*/6);

@@ -181,13 +181,13 @@ TEST(MemoTest, CorruptedDigestRejectedLikeCrc) {
   {
     std::istringstream In(BadDigest);
     DiagnosticEngine Diags;
-    WireReader Reader(In, Diags);
+    BinaryStreamSource Source(In, Diags);
     Event E = Event::txBegin(ThreadId(0));
-    while (Reader.next(E))
+    while (Source.next(E))
       ;
-    EXPECT_TRUE(Reader.failed());
-    EXPECT_EQ(Reader.stats().DigestErrors, 1u);
-    EXPECT_EQ(Reader.stats().CrcErrors, 0u);
+    EXPECT_TRUE(Source.failed());
+    EXPECT_EQ(Source.reader().stats().DigestErrors, 1u);
+    EXPECT_EQ(Source.reader().stats().CrcErrors, 0u);
     EXPECT_NE(Diags.toString().find("chunk digest mismatch"),
               std::string::npos)
         << Diags.toString();
@@ -199,13 +199,13 @@ TEST(MemoTest, CorruptedDigestRejectedLikeCrc) {
   {
     std::istringstream In(BadPayload);
     DiagnosticEngine Diags;
-    WireReader Reader(In, Diags);
+    BinaryStreamSource Source(In, Diags);
     Event E = Event::txBegin(ThreadId(0));
-    while (Reader.next(E))
+    while (Source.next(E))
       ;
-    EXPECT_TRUE(Reader.failed());
-    EXPECT_EQ(Reader.stats().CrcErrors, 1u);
-    EXPECT_EQ(Reader.stats().DigestErrors, 0u);
+    EXPECT_TRUE(Source.failed());
+    EXPECT_EQ(Source.reader().stats().CrcErrors, 1u);
+    EXPECT_EQ(Source.reader().stats().DigestErrors, 0u);
   }
 }
 
@@ -325,7 +325,7 @@ TEST(MemoTest, CliMemoSurface) {
     writeRepetitiveTrace(OS, smallConfig());
   }
 
-  for (const char *Verb : {"check", "profile", "bench"})
+  for (const char *Verb : {"check", "profile"})
     for (std::string Mode : {"bogus", "decode"}) {
       std::ostringstream Out, Err;
       int RC = cli::crdMain({Verb, Path, "--memo=" + Mode}, Out, Err);

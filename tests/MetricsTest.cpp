@@ -4,11 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Unit tests for support/Metrics.h (counters, JSON emission) plus
-/// end-to-end snapshot properties of the pipeline instrumentation: counter
-/// exactness under one-writer-per-counter concurrency (the padding
-/// contract), JsonWriter escaping, and determinism of the JSON snapshot
-/// across identical runs (modulo `_ns` timing fields).
+/// Unit tests for support/Metrics.h (JSON emission) plus end-to-end
+/// snapshot properties of the pipeline instrumentation: JsonWriter
+/// escaping, and determinism of the JSON snapshot across identical runs
+/// (modulo `_ns` timing fields).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,56 +21,9 @@
 
 #include <regex>
 #include <sstream>
-#include <thread>
-#include <vector>
 
 using namespace crd;
 using namespace crd::metrics;
-
-//===----------------------------------------------------------------------===//
-// Counter
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsCounterTest, BasicOperations) {
-  Counter C;
-  EXPECT_EQ(C.get(), 0u);
-  C.inc();
-  C.inc();
-  C.add(40);
-  EXPECT_EQ(C.get(), 42u);
-  C.reset();
-  EXPECT_EQ(C.get(), 0u);
-}
-
-TEST(MetricsCounterTest, PaddedToCacheLine) {
-  // The concurrency model relies on placement: counters laid out in arrays
-  // and written by different threads must never share a cache line.
-  EXPECT_GE(alignof(Counter), CacheLineBytes);
-  EXPECT_GE(sizeof(Counter), CacheLineBytes);
-}
-
-TEST(MetricsCounterTest, ExactUnderOneWriterPerCounter) {
-  // One writer per counter, counters adjacent in an array — exactly the
-  // per-thread layout. Non-atomic increments must still be exact because
-  // no two threads touch the same counter (and padding keeps the writes
-  // on distinct lines; a shared line would be slow, not wrong, so the
-  // real assertion is exactness of plain increments under concurrency).
-  constexpr size_t NumThreads = 4;
-  constexpr uint64_t PerThread = 200000;
-  std::vector<Counter> Counters(NumThreads);
-  {
-    std::vector<std::thread> Threads;
-    for (size_t T = 0; T != NumThreads; ++T)
-      Threads.emplace_back([&Counters, T] {
-        for (uint64_t I = 0; I != PerThread; ++I)
-          Counters[T].inc();
-      });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-  for (size_t T = 0; T != NumThreads; ++T)
-    EXPECT_EQ(Counters[T].get(), PerThread) << "counter " << T;
-}
 
 //===----------------------------------------------------------------------===//
 // JsonWriter

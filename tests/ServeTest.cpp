@@ -25,6 +25,7 @@
 #include "serve/Server.h"
 #include "serve/Session.h"
 #include "trace/TraceBuilder.h"
+#include "trace/TraceIO.h"
 #include "wire/WireWriter.h"
 #include "Cli.h"
 #include "CliInternal.h"
@@ -39,6 +40,7 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -59,35 +61,51 @@ std::unique_ptr<TranslatedRep> loadDictionary() {
   return Rep;
 }
 
-/// A racy wire trace (with chunk digests) plus a file copy for the CLI.
+/// A wire trace (with chunk digests; racy by default) plus a file copy for
+/// the CLI.
 struct TestTrace {
   std::string Bytes;
   std::string Path;
 
-  explicit TestTrace(size_t EventsPerChunk = 64) {
-    Trace T = testgen::randomTrace(/*Seed=*/7, /*Workers=*/3,
-                                   /*OpsPerWorker=*/40, /*Keys=*/4);
+  explicit TestTrace(size_t EventsPerChunk = 64,
+                     const Trace &T = testgen::randomTrace(
+                         /*Seed=*/7, /*Workers=*/3, /*OpsPerWorker=*/40,
+                         /*Keys=*/4)) {
     std::ostringstream OS;
     wire::WireWriter Writer(OS, EventsPerChunk);
     Writer.writeTrace(T);
     Writer.finish();
     Bytes = OS.str();
+    static std::atomic<int> Count{0};
     Path = std::string(::testing::TempDir()) + "crd_serve_test_" +
-           std::to_string(::getpid()) + ".crdb";
+           std::to_string(::getpid()) + "_" + std::to_string(Count++) +
+           ".crdb";
     std::ofstream File(Path, std::ios::binary);
     File << Bytes;
   }
   ~TestTrace() { ::unlink(Path.c_str()); }
 };
 
+/// traces/torn_commit.trace: T1's put tears T0's atomic check-then-act
+/// block, which is one atomicity violation.
+Trace tornCommitTrace() {
+  std::ifstream In(std::string(CRD_REPO_DIR) + "/traces/torn_commit.trace");
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  DiagnosticEngine Diags;
+  std::optional<Trace> T = parseTrace(Text.str(), Diags);
+  EXPECT_TRUE(T) << Diags.toString();
+  return T ? std::move(*T) : Trace();
+}
+
 /// Runs one session to completion on the calling thread, mimicking the
 /// server's claim/release scheduling handshake.
 void driveSession(serve::Session &S) {
-  while (S.claimWork()) {
+  if (!S.claimWork())
+    return;
+  do
     S.runWork();
-    if (!S.releaseWork())
-      break;
-  }
+  while (S.releaseWork());
 }
 
 std::string frame(serve::FrameType T, std::string_view Body) {
@@ -226,16 +244,22 @@ std::vector<std::string> clientArgs(const Daemon &D, const TestTrace &T,
 //===----------------------------------------------------------------------===//
 
 TEST(ServeTest, ClientMatchesCheckAcrossBackendsAndMemoModes) {
-  TestTrace T;
+  // The random trace races; the torn one has an atomicity violation,
+  // which a session streams as it is found.
+  TestTrace Racy, Torn(64, tornCommitTrace());
   Daemon D;
-  for (const ModeCase &M : Matrix) {
-    auto [CheckExit, CheckOut] = runCli(checkArgs(T, M));
-    auto [ServeExit, ServeOut] = runCli(clientArgs(D, T, M));
-    EXPECT_EQ(ServeOut, CheckOut)
-        << "detector=" << M.Detector
-        << " memo=" << (M.Memo ? M.Memo : "(none)");
-    EXPECT_EQ(ServeExit, CheckExit) << "detector=" << M.Detector;
-  }
+  for (const TestTrace *T : {&Racy, &Torn})
+    for (const ModeCase &M : Matrix) {
+      auto [CheckExit, CheckOut] = runCli(checkArgs(*T, M));
+      auto [ServeExit, ServeOut] = runCli(clientArgs(D, *T, M));
+      EXPECT_EQ(ServeOut, CheckOut)
+          << T->Path << " detector=" << M.Detector
+          << " memo=" << (M.Memo ? M.Memo : "(none)");
+      EXPECT_EQ(ServeExit, CheckExit) << "detector=" << M.Detector;
+    }
+  EXPECT_NE(runCli(checkArgs(Torn, Matrix[4])).second.find(
+                "\nevents: 6  atomicity violations: 1\n"),
+            std::string::npos);
 }
 
 TEST(ServeTest, ConcurrentSessionsDoNotInterfere) {
@@ -464,21 +488,24 @@ TEST(ServeTest, RemovedOptionsAreUsageErrors) {
     EXPECT_EQ(cli::crdMain(Argv, Out, Err), 2) << Argv[0] << " " << Argv[1];
     EXPECT_EQ(Out.str(), "") << Argv[0] << " " << Argv[1];
   }
-  // The daemon refused --policy before binding its socket.
+  // Removed surface that names itself on stderr: `crd profile` reads
+  // recorded traces only (no --source); live producers stream to `crd
+  // serve` (no recorder verb) on its Unix socket (no --tcp); perfbench is
+  // the performance instrument (no bench verb).
+  const std::pair<std::vector<std::string>, const char *> Named[] = {
+      {{"profile", "--source=live", T.Path}, "unknown option --source"},
+      {{"record", "--stress"}, "unknown command 'record'"},
+      {{"serve", "--socket=" + Sock, "--tcp=0"}, "unknown option --tcp"},
+      {{"bench", T.Path}, "unknown command 'bench'"},
+  };
+  for (const auto &[Argv, Reason] : Named) {
+    std::ostringstream Out, Err;
+    EXPECT_EQ(cli::crdMain(Argv, Out, Err), 2) << Argv[0] << " " << Argv[1];
+    EXPECT_EQ(Out.str(), "") << Argv[0] << " " << Argv[1];
+    EXPECT_NE(Err.str().find(Reason), std::string::npos) << Err.str();
+  }
+  // The daemon refused --policy and --tcp before binding its socket.
   EXPECT_NE(::access(Sock.c_str(), F_OK), 0);
-  // `crd profile` reads recorded traces only; it has no --source option.
-  std::ostringstream Out, Err;
-  EXPECT_EQ(cli::crdMain({"profile", "--source=live", T.Path}, Out, Err), 2);
-  EXPECT_EQ(Out.str(), "");
-  EXPECT_NE(Err.str().find("unknown option --source"), std::string::npos)
-      << Err.str();
-  // There is no recorder verb: live producers stream to `crd serve`.
-  std::ostringstream RecordOut, RecordErr;
-  EXPECT_EQ(cli::crdMain({"record", "--stress"}, RecordOut, RecordErr), 2);
-  EXPECT_EQ(RecordOut.str(), "");
-  EXPECT_NE(RecordErr.str().find("unknown command 'record'"),
-            std::string::npos)
-      << RecordErr.str();
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,7 @@
 #include "detect/OnlineAtomicity.h"
 #include "runtime/InstrumentedMap.h"
 #include "runtime/SimRuntime.h"
+#include "runtime/Sink.h"
 #include "trace/EventBatch.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
@@ -256,21 +257,6 @@ TEST(StreamPipelineTest, PipelineKeepsNoRecordBetweenBatches) {
       expectSummaryMatches(P);
     }
   }
-
-  // The per-event feed drains after every event.
-  StreamPipeline P({Backend::Sequential});
-  P.setDefaultProvider(&dictRep());
-  testgen::StreamedRaces Got;
-  Got.collect(P);
-  size_t NonEmpty = 0;
-  for (const Event &E : T) {
-    P.onEvent(E);
-    NonEmpty += !P.sequentialDetector()->races().empty();
-  }
-  P.finish();
-  EXPECT_EQ(NonEmpty, 0u);
-  expectRacesIdentical(Got.Races, Reference.races());
-  expectSummaryMatches(P);
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,12 +428,12 @@ TEST(StreamPipelineTest, AtomicityBinaryMatchesMaterialized) {
   StreamSummary S = runBinary(T, {Backend::Atomicity}, P, Got);
 
   EXPECT_EQ(S.Violations, Reference.violations().size());
-  ASSERT_EQ(P->violations().size(), Reference.violations().size());
+  ASSERT_EQ(Got.Violations.size(), Reference.violations().size());
   for (size_t I = 0; I != Reference.violations().size(); ++I) {
-    EXPECT_EQ(P->violations()[I].Thread, Reference.violations()[I].Thread);
-    EXPECT_EQ(P->violations()[I].BeginEvent,
+    EXPECT_EQ(Got.Violations[I].Thread, Reference.violations()[I].Thread);
+    EXPECT_EQ(Got.Violations[I].BeginEvent,
               Reference.violations()[I].BeginEvent);
-    EXPECT_EQ(P->violations()[I].EndEvent, Reference.violations()[I].EndEvent);
+    EXPECT_EQ(Got.Violations[I].EndEvent, Reference.violations()[I].EndEvent);
   }
 }
 
@@ -457,7 +443,8 @@ TEST(StreamPipelineTest, AtomicityBinaryMatchesMaterialized) {
 
 TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
   // Drive the same deterministic execution twice: once recording a Trace
-  // for the reference detector, once pushing straight into the pipeline.
+  // for the reference detector, once pushing event by event straight into
+  // a detector through DetectorSink, the in-process live path.
   auto runInto = [](EventSink &Sink) {
     SimRuntime RT(4242);
     InstrumentedMap Map(RT);
@@ -483,16 +470,14 @@ TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
   Reference.setDefaultProvider(&dictRep());
   Reference.processTrace(Recorder.trace());
 
-  StreamPipeline P({Backend::Sequential});
-  P.setDefaultProvider(&dictRep());
-  testgen::StreamedRaces Got;
-  Got.collect(P);
-  runInto(P);
-  P.finish();
+  CommutativityRaceDetector Live;
+  Live.setDefaultProvider(&dictRep());
+  DetectorSink<CommutativityRaceDetector> Sink(Live);
+  runInto(Sink);
 
-  EXPECT_EQ(P.eventsProcessed(), Recorder.trace().size());
-  expectRacesIdentical(Got.Races, Reference.races());
-  EXPECT_GT(Got.Races.size(), 0u) << "expected a put/put race";
+  EXPECT_EQ(Live.eventsProcessed(), Recorder.trace().size());
+  expectRacesIdentical(Live.races(), Reference.races());
+  EXPECT_GT(Live.races().size(), 0u) << "expected a put/put race";
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A StreamPipeline hands each race record to its callback and then drops
-/// it, so a test reads a pipeline's races record by record through the
-/// callbacks. Records are self-contained values: the copies kept here
-/// compare with operator== against a standalone detector's races().
+/// A StreamPipeline hands each race record and atomicity violation to its
+/// callback and then drops it, so a test reads a pipeline's findings one
+/// by one through the callbacks. Records are self-contained values: the
+/// copies kept here compare with operator== against a standalone
+/// detector's races().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,18 +23,21 @@
 namespace crd {
 namespace testgen {
 
-/// Every record a pipeline streamed, in callback order.
+/// Every finding a pipeline streamed, in callback order.
 struct StreamedRaces {
   std::vector<CommutativityRace> Races;
   std::vector<MemoryRace> MemoryRaces;
+  std::vector<AtomicityViolation> Violations;
 
-  /// Installs callbacks on \p P that append each streamed record here
+  /// Installs callbacks on \p P that append each streamed finding here
   /// (replacing any callbacks set before). Must outlive \p P's feeding.
   void collect(wire::StreamPipeline &P) {
     P.setRaceCallback(
         [this](const CommutativityRace &R) { Races.push_back(R); });
     P.setMemoryRaceCallback(
         [this](const MemoryRace &R) { MemoryRaces.push_back(R); });
+    P.setViolationCallback(
+        [this](const AtomicityViolation &V) { Violations.push_back(V); });
   }
 };
 

@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The stress input of the `crd_bench_decode` bar and the `serve-stress`
-/// soak, written by `crd_stress_trace`. Each of \p Threads logical threads
-/// runs a seeded script over 8 shared dictionaries (64 keys, 70% put,
-/// 30% get), every 64-event window bracketed by one of 4 locks. One thread
-/// generates the whole trace: a seeded scheduler picks which logical
-/// thread emits next, for a burst of 1 to 512 events, and a thread whose
-/// window opens on a held lock waits. So the trace is well-formed, hands
-/// locks across threads, races on 14-19% of its events at the sizes in
-/// use, and is a function of its arguments alone. At 4 threads it is the
-/// script of perfbench's `racy-check` input (perfbench/src/Inputs.cpp).
+/// The stress input of the decode bar (`decode_bar_test`) and of the
+/// `serve-stress` soak, which reads it as `crd_stress_trace` writes it.
+/// Each of \p Threads logical threads runs a seeded script over 8 shared
+/// dictionaries (64 keys, 70% put, 30% get), every 64-event window
+/// bracketed by one of 4 locks. One thread generates the whole trace: a
+/// seeded scheduler picks which logical thread emits next, for a burst of
+/// 1 to 512 events, and a thread whose window opens on a held lock waits.
+/// So the trace is well-formed, hands locks across threads, races on
+/// 14-19% of its events at the sizes in use, and is a function of its
+/// arguments alone. At 4 threads it is the script of perfbench's
+/// `racy-check` input (perfbench/src/Inputs.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

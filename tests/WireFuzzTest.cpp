@@ -6,8 +6,9 @@
 ///
 /// Deterministic fuzzing of the binary wire decoder: starting from valid
 /// encodings of randomized traces, applies seeded byte flips, splices,
-/// truncations and garbage prefixes/suffixes, then drives WireReader (per
-/// event and through the memo chunk API) and scanWire over the result. The
+/// truncations and garbage prefixes/suffixes, then drives the decoder
+/// (through BinaryStreamSource, whose batches span chunks, and through the
+/// memo chunk API) and scanWire over the result. The
 /// decoder must always terminate with either a clean stream or a
 /// diagnostic — never crash, hang, or trip UB (run under the asan preset;
 /// this target is also registered as `wire-fuzz`). Single-bit flips inside
@@ -16,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "wire/EventSource.h"
 #include "wire/WireReader.h"
 #include "wire/WireWriter.h"
 #include "TraceGen.h"
@@ -49,15 +51,15 @@ void mustSurvive(const std::string &Bytes, size_t *Skipped = nullptr) {
   {
     std::istringstream In(Bytes);
     DiagnosticEngine Diags;
-    WireReader Reader(In, Diags);
+    BinaryStreamSource Source(In, Diags);
     Event E = Event::txBegin(ThreadId(0));
-    while (Reader.next(E)) {
+    while (Source.next(E)) {
       ASSERT_LT(++Decoded, 1u << 22) << "decoder failed to terminate";
     }
-    if (Reader.failed()) {
+    if (Source.failed()) {
       EXPECT_TRUE(Diags.hasErrors());
     }
-    NextClean = !Reader.failed();
+    NextClean = !Source.failed();
   }
   {
     std::istringstream In(Bytes);
@@ -135,13 +137,13 @@ TEST(WireFuzzTest, SingleBitFlipsThroughTheCrcFold) {
         mustSurvive(Mutated);
         std::istringstream In(Mutated);
         DiagnosticEngine Diags;
-        WireReader Reader(In, Diags);
+        BinaryStreamSource Source(In, Diags);
         Event E = Event::txBegin(ThreadId(0));
-        while (Reader.next(E)) {
+        while (Source.next(E)) {
         }
         SCOPED_TRACE(testing::Message() << "byte " << I << " bit " << Bit);
-        ASSERT_TRUE(Reader.failed());
-        EXPECT_EQ(Reader.stats().CrcErrors, 1u);
+        ASSERT_TRUE(Source.failed());
+        EXPECT_EQ(Source.reader().stats().CrcErrors, 1u);
         EXPECT_NE(Diags.toString().find("chunk CRC mismatch"),
                   std::string::npos)
             << Diags.toString();

@@ -12,8 +12,9 @@
 ///   * the chunk CRC-32 and content digest keep their pinned values, and
 ///     the PCLMULQDQ fold and the word-load digest equal their byte-at-a-
 ///     time references at every length and alignment;
-///   * WireReader rejects truncated chunks, corrupted payloads (bad CRC),
-///     bad magic and unknown versions with a diagnostic, never a crash;
+///   * the binary source rejects truncated chunks, corrupted payloads (bad
+///     CRC), bad magic and unknown versions with a diagnostic, never a
+///     crash;
 ///   * scanWire reports the chunk shape without decoding events;
 ///   * WireSink records a live SimRuntime execution bit-equal to the
 ///     TraceRecorder + writeTrace path;
@@ -92,12 +93,12 @@ std::string encode(const Trace &T, size_t EventsPerChunk) {
 Trace decode(const std::string &Bytes) {
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
-  WireReader Reader(In, Diags);
+  BinaryStreamSource Source(In, Diags);
   Trace T;
   Event E = Event::txBegin(ThreadId(0));
-  while (Reader.next(E))
+  while (Source.next(E))
     T.append(E);
-  EXPECT_FALSE(Reader.failed()) << Diags.toString();
+  EXPECT_FALSE(Source.failed()) << Diags.toString();
   return T;
 }
 
@@ -327,13 +328,13 @@ TEST(WireRoundTripTest, ChunkingIsExact) {
   std::string Bytes = encode(T, 10);
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
-  WireReader Reader(In, Diags);
+  BinaryStreamSource Source(In, Diags);
   Event E = Event::txBegin(ThreadId(0));
-  while (Reader.next(E))
+  while (Source.next(E))
     ;
-  EXPECT_FALSE(Reader.failed());
-  EXPECT_EQ(Reader.eventsRead(), T.size());
-  EXPECT_EQ(Reader.chunksRead(), (T.size() + 9) / 10);
+  EXPECT_FALSE(Source.failed());
+  EXPECT_EQ(Source.reader().eventsRead(), T.size());
+  EXPECT_EQ(Source.reader().chunksRead(), (T.size() + 9) / 10);
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,10 +345,10 @@ TEST(WireErrorTest, RejectsBadMagic) {
   std::string Bytes = "NOPE";
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
-  WireReader Reader(In, Diags);
+  BinaryStreamSource Source(In, Diags);
   Event E = Event::txBegin(ThreadId(0));
-  EXPECT_FALSE(Reader.next(E));
-  EXPECT_TRUE(Reader.failed());
+  EXPECT_FALSE(Source.next(E));
+  EXPECT_TRUE(Source.failed());
   EXPECT_TRUE(Diags.hasErrors());
 }
 
@@ -367,14 +368,14 @@ TEST(WireErrorTest, RejectsEveryTruncationPoint) {
   for (size_t Cut = 0; Cut != Bytes.size(); ++Cut) {
     std::istringstream In(Bytes.substr(0, Cut));
     DiagnosticEngine Diags;
-    WireReader Reader(In, Diags);
+    BinaryStreamSource Source(In, Diags);
     Event E = Event::txBegin(ThreadId(0));
     size_t Decoded = 0;
-    while (Reader.next(E))
+    while (Source.next(E))
       ++Decoded;
     // A truncation can only look clean at a chunk boundary; anywhere else
     // the reader must diagnose (header, payload or CRC failure).
-    if (Reader.failed()) {
+    if (Source.failed()) {
       EXPECT_TRUE(Diags.hasErrors()) << "cut at " << Cut;
     }
     EXPECT_LE(Decoded, 12u) << "cut at " << Cut;
@@ -389,10 +390,10 @@ TEST(WireErrorTest, RejectsCorruptedPayloadByCrc) {
   Bytes[FileHeaderSize + DigestChunkHeaderSize + 3] ^= 0x40;
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
-  WireReader Reader(In, Diags);
+  BinaryStreamSource Source(In, Diags);
   Event E = Event::txBegin(ThreadId(0));
-  EXPECT_FALSE(Reader.next(E));
-  EXPECT_TRUE(Reader.failed());
+  EXPECT_FALSE(Source.next(E));
+  EXPECT_TRUE(Source.failed());
   EXPECT_NE(Diags.toString().find("CRC"), std::string::npos);
 }
 
@@ -404,10 +405,10 @@ TEST(WireErrorTest, RejectsOversizedChunkClaim) {
     Bytes[FileHeaderSize + I] = static_cast<char>((Huge >> (8 * I)) & 0xFF);
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
-  WireReader Reader(In, Diags);
+  BinaryStreamSource Source(In, Diags);
   Event E = Event::txBegin(ThreadId(0));
-  EXPECT_FALSE(Reader.next(E));
-  EXPECT_TRUE(Reader.failed());
+  EXPECT_FALSE(Source.next(E));
+  EXPECT_TRUE(Source.failed());
   EXPECT_NE(Diags.toString().find("exceeds limit"), std::string::npos);
 }
 
@@ -553,7 +554,7 @@ TEST(EventSourceTest, H2RacesPinnedOnBinaryAndTextPaths) {
 // The stress trace (StressTrace.h)
 //===----------------------------------------------------------------------===//
 
-// The input of crd_bench_decode (4 x 25,000 events) and serve-stress
+// The input of the decode bar (4 x 25,000 events) and serve-stress
 // (3 x 20,000), plus a size whose scripts end where a lock window would
 // open: well-formed, with cross-thread lock hand-offs, racy under the
 // builtin dictionary spec, and the same bytes from every generation.

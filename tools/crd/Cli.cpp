@@ -14,17 +14,14 @@
 #include "serve/Protocol.h"
 #include "spec/Builtins.h"
 #include "spec/SpecParser.h"
-#include "trace/TraceIO.h"
 #include "trace/TraceStats.h"
 #include "translate/Translator.h"
-#include "support/Metrics.h"
 #include "support/TextRender.h"
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireReader.h"
 #include "wire/WireWriter.h"
 
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <optional>
@@ -228,12 +225,11 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   if (!Quiet) {
     Pipeline.setRaceCallback(PrintRace);
     Pipeline.setMemoryRaceCallback(PrintRace);
+    Pipeline.setViolationCallback([&Out](const AtomicityViolation &V) {
+      Out << "violation: " << V << '\n';
+    });
   }
   wire::StreamSummary Summary = Pipeline.run(*Source);
-
-  if (!Quiet)
-    for (const AtomicityViolation &V : Pipeline.violations())
-      Out << "violation: " << V << '\n';
 
   Out << "events: " << Summary.Events;
   switch (Opts.TheBackend) {
@@ -386,164 +382,6 @@ int runStats(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     if (Rows < Info->Chunks.size())
       Out << "    ... " << (Info->Chunks.size() - Rows) << " more chunks\n";
   }
-  return ExitClean;
-}
-
-//===----------------------------------------------------------------------===//
-// crd bench
-//===----------------------------------------------------------------------===//
-
-const char BenchHelp[] =
-    "usage: crd bench [options] <trace>\n"
-    "\n"
-    "Measures ingestion throughput over the given trace: whole-buffer\n"
-    "text parsing vs streaming binary decoding vs binary decoding plus\n"
-    "sequential detection. Both encodings are prepared in memory first,\n"
-    "so the comparison excludes disk I/O.\n"
-    "\n"
-    "options:\n"
-    "  --reps=N           repetitions per configuration (default 5)\n"
-    "  --spec=FILE        spec for the decode+detect configuration\n"
-    "  --memo[=off|full]  chunk memoization for the decode+detect\n"
-    "                     configuration (default off; bare --memo = full)\n";
-
-double bestSeconds(unsigned Reps, const std::function<void()> &Fn) {
-  double Best = 1e100;
-  for (unsigned R = 0; R != Reps; ++R) {
-    auto T0 = std::chrono::steady_clock::now();
-    Fn();
-    auto T1 = std::chrono::steady_clock::now();
-    Best = std::min(Best, std::chrono::duration<double>(T1 - T0).count());
-  }
-  return Best;
-}
-
-int runBench(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
-  if (Args.Help) {
-    Out << BenchHelp;
-    return ExitClean;
-  }
-  if (auto Bad = Args.unknownOption({"reps", "spec", "memo"})) {
-    Err << "error: unknown option --" << *Bad << "\n" << BenchHelp;
-    return ExitUsage;
-  }
-  if (Args.Positional.size() != 1) {
-    Err << BenchHelp;
-    return ExitUsage;
-  }
-  unsigned Reps = 5;
-  if (auto R = Args.option("reps")) {
-    auto N = parseCount(*R);
-    if (!N || *N == 0) {
-      Err << "error: --reps expects a positive integer\n";
-      return ExitUsage;
-    }
-    Reps = static_cast<unsigned>(*N);
-  }
-  wire::MemoMode Memo = wire::MemoMode::Off;
-  if (!parseMemoMode(Args, Memo, Err))
-    return ExitUsage;
-
-  int Exit = ExitClean;
-  auto Rep = loadProvider(Args.option("spec").value_or(""), Err, Exit);
-  if (!Rep)
-    return Exit;
-
-  // Materialize both encodings in memory.
-  DiagnosticEngine Diags;
-  auto Source = wire::openEventSource(Args.Positional[0], Diags);
-  if (!Source) {
-    Err << Diags.toString();
-    return ExitUsage;
-  }
-  std::ostringstream TextOS, BinaryOS;
-  size_t Events = 0;
-  {
-    wire::WireWriter Writer(BinaryOS);
-    Event E = Event::txBegin(ThreadId(0));
-    while (Source->next(E)) {
-      TextOS << E << '\n';
-      Writer.append(E);
-      ++Events;
-    }
-    Writer.finish();
-  }
-  if (Source->failed()) {
-    Err << Args.Positional[0] << ":\n" << Diags.toString();
-    return ExitFindings;
-  }
-  if (Events == 0) {
-    Err << "error: empty trace\n";
-    return ExitUsage;
-  }
-  std::string Text = TextOS.str();
-  std::string Binary = BinaryOS.str();
-
-  double TextSec = bestSeconds(Reps, [&] {
-    DiagnosticEngine D;
-    auto T = parseTrace(Text, D);
-    if (!T || T->size() != Events)
-      std::abort();
-  });
-  double DecodeSec = bestSeconds(Reps, [&] {
-    std::istringstream In(Binary);
-    DiagnosticEngine D;
-    wire::WireReader Reader(In, D);
-    Event E = Event::txBegin(ThreadId(0));
-    size_t N = 0;
-    while (Reader.next(E))
-      ++N;
-    if (N != Events || Reader.failed())
-      std::abort();
-  });
-  uint64_t KernelNs = 0; // Last rep's batched-kernel time (metrics builds).
-  double DetectSec = bestSeconds(Reps, [&] {
-    std::istringstream In(Binary);
-    DiagnosticEngine D;
-    wire::BinaryStreamSource Src(In, D);
-    wire::PipelineOptions POpts;
-    POpts.Memo = Memo;
-    wire::StreamPipeline Pipeline(POpts);
-    Pipeline.setDefaultProvider(Rep.get());
-    Pipeline.run(Src);
-    KernelNs = Pipeline.sequentialDetector()->kernelNs();
-  });
-
-  auto row = [&](const char *Name, double Sec, size_t Bytes) {
-    std::ostringstream Line;
-    Line << std::fixed;
-    Line << "  " << std::left << std::setw(22) << Name << std::right
-         << std::setw(12)
-         << static_cast<uint64_t>(static_cast<double>(Events) / Sec)
-         << " events/s   " << std::setprecision(2) << std::setw(6)
-         << static_cast<double>(Bytes) / static_cast<double>(Events)
-         << " bytes/event\n";
-    Out << Line.str();
-  };
-  Out << "ingestion throughput (" << Events << " events, best of " << Reps
-      << "):\n";
-  row("text parse", TextSec, Text.size());
-  row("binary decode", DecodeSec, Binary.size());
-  row("binary decode+detect", DetectSec, Binary.size());
-  if (KernelNs != 0) {
-    // How much of decode+detect sat inside the batched detection kernel
-    // (kind scan + both Algorithm 1 phases; docs/observability.md
-    // "kernel_ns").
-    double KernelSec = static_cast<double>(KernelNs) * 1e-9;
-    std::ostringstream Line;
-    Line << std::fixed;
-    Line << "  " << std::left << std::setw(22) << "detect kernel"
-         << std::right << std::setw(12)
-         << static_cast<uint64_t>(static_cast<double>(Events) / KernelSec)
-         << " events/s   " << std::setprecision(1) << std::setw(6)
-         << 100.0 * KernelSec / DetectSec << " % of decode+detect\n";
-    Out << Line.str();
-  }
-  std::ostringstream Speedup;
-  Speedup << std::fixed << std::setprecision(2)
-          << TextSec / DecodeSec;
-  Out << "  binary decode speedup over text parse: " << Speedup.str()
-      << "x\n";
   return ExitClean;
 }
 
@@ -745,7 +583,6 @@ const char DriverHelp[] =
     "  convert   convert a trace between text and binary wire formats\n"
     "  check     stream a trace through a race/atomicity detector\n"
     "  stats     chunk / size / compression report for a trace file\n"
-    "  bench     ingestion throughput: text parse vs binary decode\n"
     "  profile   metrics snapshot (JSON) for a run\n"
     "  serve     multi-tenant detection daemon over sockets (and client)\n"
     "  analyze   full offline report (races, triage, atomicity)\n"
@@ -772,8 +609,6 @@ int cli::crdMain(const std::vector<std::string> &Args, std::ostream &Out,
     return runCheck(Parsed, Out, Err);
   if (Command == "stats")
     return runStats(Parsed, Out, Err);
-  if (Command == "bench")
-    return runBench(Parsed, Out, Err);
   if (Command == "profile")
     return runProfile(Rest, Out, Err);
   if (Command == "serve")

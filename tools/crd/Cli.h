@@ -12,7 +12,6 @@
 ///   crd convert <in> <out>   text ↔ binary trace conversion (streaming)
 ///   crd check   [opts] <t>   run a detector over a trace, streamed
 ///   crd stats   <t>          chunk / size / compression-ratio report
-///   crd bench   [opts] <t>   ingestion throughput: text vs binary
 ///   crd profile [opts] <t>   metrics snapshot (JSON) for a run
 ///   crd serve   [opts]       detection daemon over sockets, and its client
 ///   crd analyze <t> [spec]   the full offline report (trace_analyzer)

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `crd serve` in two roles. Daemon mode (--socket / --tcp) runs the
-/// src/serve multi-tenant detection server until SIGTERM drains it.
+/// `crd serve` in two roles. Daemon mode (--socket) runs the src/serve
+/// multi-tenant detection server until SIGTERM drains it.
 /// Client mode (--connect) drives a running daemon: stream one trace file
 /// and print its findings in `crd check`'s exact format (--trace), fetch
 /// the status document (--status), or open many concurrent sessions from
@@ -20,11 +20,9 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 
-#include <arpa/inet.h>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -45,20 +43,18 @@ namespace {
 
 const char ServeHelp[] =
     "usage: crd serve --socket=PATH [daemon options]\n"
-    "       crd serve --connect=TARGET (--trace=FILE | --status) [options]\n"
+    "       crd serve --connect=PATH (--trace=FILE | --status) [options]\n"
     "\n"
     "Long-running detection daemon and its client. The daemon accepts\n"
-    "binary wire-format traces over Unix-domain (and loopback TCP)\n"
-    "sockets from many concurrent clients; every connection is an\n"
-    "isolated detection session and races stream back as line-delimited\n"
-    "JSON, bit-identical to 'crd check' on the same trace (protocol and\n"
-    "schemas: docs/serve.md). SIGTERM drains: buffered input finishes\n"
-    "detecting and every open session still gets its summary.\n"
+    "binary wire-format traces over a Unix-domain socket from many\n"
+    "concurrent clients; every connection is an isolated detection\n"
+    "session and races stream back as line-delimited JSON, bit-identical\n"
+    "to 'crd check' on the same trace (protocol and schemas:\n"
+    "docs/serve.md). SIGTERM drains: buffered input finishes detecting\n"
+    "and every open session still gets its summary.\n"
     "\n"
     "daemon options:\n"
     "  --socket=PATH        listen on a Unix-domain socket at PATH\n"
-    "  --tcp=PORT           also listen on loopback TCP (0 = ephemeral;\n"
-    "                       the chosen port is printed)\n"
     "  --workers=N          detection worker pool size (default: cores)\n"
     "  --idle-timeout=MS    kill sessions idle for MS milliseconds\n"
     "                       (default 0 = never)\n"
@@ -75,7 +71,7 @@ const char ServeHelp[] =
     "  --chrome-trace=FILE  on exit, write a chrome://tracing timeline\n"
     "                       with one row per session\n"
     "\n"
-    "client options (with --connect=SOCKET-PATH or --connect=HOST:PORT):\n"
+    "client options (with --connect=SOCKET-PATH):\n"
     "  --trace=FILE         stream a binary wire trace, print findings in\n"
     "                       'crd check' format (exit 1 when races found)\n"
     "  --status             print the daemon's status document (JSON)\n"
@@ -126,17 +122,8 @@ void pinMallocThresholds() {
 int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   serve::ServeOptions Opts;
   Opts.UnixPath = Args.option("socket").value_or("");
-  if (auto T = Args.option("tcp")) {
-    auto N = parseCount(*T);
-    if (!N || *N > 65535) {
-      Err << "error: --tcp expects a port number (0 = ephemeral)\n";
-      return ExitUsage;
-    }
-    Opts.TcpPort = static_cast<int>(*N);
-  }
-  if (Opts.UnixPath.empty() && Opts.TcpPort < 0) {
-    Err << "error: daemon mode needs a listener: --socket=PATH and/or "
-           "--tcp=PORT\n";
+  if (Opts.UnixPath.empty()) {
+    Err << "error: daemon mode needs a listener: --socket=PATH\n";
     return ExitUsage;
   }
   if (auto W = Args.option("workers")) {
@@ -196,10 +183,7 @@ int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     Err << "error: " << Error << "\n";
     return ExitUsage;
   }
-  if (auto S = Args.option("socket"))
-    Out << "listening on unix:" << *S << "\n";
-  if (Args.option("tcp"))
-    Out << "listening on tcp:127.0.0.1:" << Server.tcpPort() << "\n";
+  Out << "listening on unix:" << *Args.option("socket") << "\n";
   Out.flush();
 
   ActiveServer.store(&Server, std::memory_order_release);
@@ -234,53 +218,20 @@ int runDaemon(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
 // Client plumbing
 //===----------------------------------------------------------------------===//
 
-/// Connects to `PATH` (Unix-domain) or `HOST:PORT` (loopback TCP; the
-/// host must be an IPv4 literal or `localhost`). A target containing '/'
-/// is always a path, so relative socket paths with colons keep working.
-int connectTo(const std::string &Target, std::string &Error) {
-  size_t Colon = Target.rfind(':');
-  bool IsTcp = Colon != std::string::npos &&
-               Target.find('/') == std::string::npos;
-  if (IsTcp) {
-    std::string Host = Target.substr(0, Colon);
-    auto Port = parseCount(Target.substr(Colon + 1));
-    if (!Port || *Port == 0 || *Port > 65535) {
-      Error = "bad TCP port in '" + Target + "'";
-      return -1;
-    }
-    if (Host == "localhost")
-      Host = "127.0.0.1";
-    sockaddr_in Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(static_cast<uint16_t>(*Port));
-    if (inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr) != 1) {
-      Error = "bad IPv4 host in '" + Target + "' (use a literal address)";
-      return -1;
-    }
-    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (Fd < 0 ||
-        ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-            0) {
-      Error = "cannot connect to '" + Target + "': " + std::strerror(errno);
-      if (Fd >= 0)
-        ::close(Fd);
-      return -1;
-    }
-    return Fd;
-  }
+/// Connects to the daemon's Unix-domain socket at \p Path.
+int connectTo(const std::string &Path, std::string &Error) {
   sockaddr_un Addr;
   std::memset(&Addr, 0, sizeof(Addr));
   Addr.sun_family = AF_UNIX;
-  if (Target.size() >= sizeof(Addr.sun_path)) {
-    Error = "socket path too long: '" + Target + "'";
+  if (Path.size() >= sizeof(Addr.sun_path)) {
+    Error = "socket path too long: '" + Path + "'";
     return -1;
   }
-  std::memcpy(Addr.sun_path, Target.c_str(), Target.size());
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size());
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0 ||
       ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    Error = "cannot connect to '" + Target + "': " + std::strerror(errno);
+    Error = "cannot connect to '" + Path + "': " + std::strerror(errno);
     if (Fd >= 0)
       ::close(Fd);
     return -1;
@@ -637,7 +588,7 @@ int runClient(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
 int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
                                  std::ostream &Out, std::ostream &Err) {
   ParsedArgs Args(joinValueOptions(
-      Raw, {"--socket", "--tcp", "--workers", "--idle-timeout",
+      Raw, {"--socket", "--workers", "--idle-timeout",
             "--max-sessions", "--buffer-cap", "--session-cap", "--spec",
             "--chrome-trace", "--connect", "--trace", "--detector",
             "--sessions", "--waves"}));
@@ -646,7 +597,7 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
     return ExitClean;
   }
   if (auto Bad = Args.unknownOption(
-          {"socket", "tcp", "workers", "idle-timeout", "max-sessions",
+          {"socket", "workers", "idle-timeout", "max-sessions",
            "buffer-cap", "session-cap", "spec", "chrome-trace", "connect",
            "trace", "detector", "memo", "json", "status", "stress",
            "sessions", "waves"})) {
@@ -662,8 +613,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
   // every verb reports a rejected mode (rejectUnsupported).
   const bool IsClient = Args.option("connect").has_value();
   static const char *const DaemonOnly[] = {
-      "socket",     "tcp",         "workers", "idle-timeout", "max-sessions",
-      "buffer-cap", "session-cap", "spec",    "chrome-trace"};
+      "socket",      "workers", "idle-timeout", "max-sessions", "buffer-cap",
+      "session-cap", "spec",    "chrome-trace"};
   static const char *const ClientOnly[] = {
       "trace", "detector", "memo",     "json",
       "status", "stress",  "sessions", "waves"};
@@ -681,8 +632,8 @@ int crd::cli::internal::runServe(const std::vector<std::string> &Raw,
         return rejectUnsupported(
             Err, "serve", std::string("--") + Name + " without --connect",
             "client flags drive a running daemon; pass "
-            "--connect=SOCKET-PATH (or --connect=HOST:PORT), or analyze a "
-            "file in-process with 'crd check'");
+            "--connect=SOCKET-PATH, or analyze a file in-process with "
+            "'crd check'");
   }
 
   return IsClient ? runClient(Args, Out, Err) : runDaemon(Args, Out, Err);
