@@ -37,7 +37,7 @@
 #include "detect/Race.h"
 #include "support/EpochClock.h"
 #include "support/FlatMap.h"
-#include "trace/Event.h"
+#include "trace/EventBatch.h"
 
 #include <array>
 #include <cassert>
@@ -112,24 +112,28 @@ public:
 
   /// The batched detection kernel: executes the actions of one run (a
   /// sync-free stretch, so every thread's clock is constant throughout)
-  /// given their positions inside \p Evs, in event order, through the exact
-  /// onAction() phases. Two memos do the work: a run-local last-object
-  /// cache resolves each action's object state, and a thread's clock is
-  /// resolved through \p Resolve once per stretch of consecutive
-  /// same-thread actions (valid precisely because no sync event
-  /// intervenes within a run).
+  /// given their positions inside \p B, in event order, through the exact
+  /// onAction() phases. Each invoke's object and thread come from \p B's
+  /// operand and thread columns, and one view Action, re-pointed per
+  /// invoke, carries its method and values; no Event is built. Two memos
+  /// do the work: a run-local last-object cache resolves each action's
+  /// object state, and a thread's clock is resolved through \p Resolve
+  /// once per stretch of consecutive same-thread actions (valid precisely
+  /// because no sync event intervenes within a run).
   ///
-  /// \p Pos holds \p NPos ascending positions of invoke events in \p Evs;
-  /// \p Evs[Pos[i]] must be an invoke. Positions are reported to race
-  /// records as \p BaseIndex + Pos[i]. \p Resolve maps a ThreadId to that
-  /// thread's run clock (stable reference for the whole run).
+  /// \p Pos holds \p NPos ascending positions of invoke events in \p B,
+  /// and \p FirstInvoke is the index of the first one's record in
+  /// B.Invokes (a run's invokes have consecutive records). Positions are
+  /// reported to race records as \p BaseIndex + Pos[i]. \p Resolve maps a
+  /// ThreadId to that thread's run clock (stable reference for the whole
+  /// run).
   ///
   /// Determinism: actions execute in the same order, with the same clocks
   /// and the same object-state creation stamps, as on the per-event path,
   /// so race reports are bit-identical.
   template <typename ResolveF>
-  void onRun(const Event *Evs, const uint32_t *Pos, size_t NPos,
-             size_t BaseIndex, ResolveF &&Resolve) {
+  void onRun(const EventBatch &B, const uint32_t *Pos, size_t NPos,
+             size_t FirstInvoke, size_t BaseIndex, ResolveF &&Resolve) {
     // Run-local last-object cache: hoisted out of stateFor so the common
     // same-object run never reloads the member cache across the opaque
     // provider/clock calls below.
@@ -142,21 +146,29 @@ public:
     const VectorClock *CachedClock = nullptr;
     ThreadId CachedThread;
 
-    for (size_t I = 0; I != NPos; ++I) {
-      const Event &E = Evs[Pos[I]];
-      const Action &A = E.action();
-      if (!CachedState || !(CachedObj == A.object())) {
-        CachedState = &stateFor(A.object());
-        CachedObj = A.object();
+    // The columns, loaded once: the calls below are opaque, so reads
+    // through B would reload them per action.
+    const uint32_t *Operands = B.Operands.data();
+    const ThreadId *Threads = B.Threads.data();
+    const Value *Values = B.Values.data();
+    const EventBatch::InvokeRecord *Record = B.Invokes.data() + FirstInvoke;
+    for (size_t I = 0; I != NPos; ++I, ++Record) {
+      uint32_t P = Pos[I];
+      ObjectId Obj(Operands[P]);
+      View.repoint(Obj, Record->Method, Values + Record->FirstValue,
+                   Record->NArgs, Record->NRets);
+      if (!CachedState || !(CachedObj == Obj)) {
+        CachedState = &stateFor(Obj);
+        CachedObj = Obj;
       } else {
         ++CacheHits;
       }
-      ThreadId T = E.thread();
+      ThreadId T = Threads[P];
       if (!CachedClock || !(CachedThread == T)) {
         CachedClock = &Resolve(T);
         CachedThread = T;
       }
-      onActionResolved(A, T, *CachedClock, BaseIndex + Pos[I], *CachedState);
+      onActionResolved(View, T, *CachedClock, BaseIndex + P, *CachedState);
     }
     KernelEventsCtr += NPos;
   }
@@ -405,6 +417,9 @@ private:
   /// Per-thread current-clock snapshots (see threadSnapshot()).
   std::vector<RaceClock> ThreadSnapshots;
   std::vector<AccessPoint> Scratch;
+  /// onRun()'s view of the invoke it executes, re-pointed per invoke (and
+  /// stale between runs, where nothing reads it).
+  Action View;
   size_t ConflictChecks = 0;
   size_t ActivePoints = 0;
   uint64_t MutStamp = 0;   ///< See mutationStamp().

@@ -9,7 +9,6 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace crd;
 
@@ -21,58 +20,56 @@ void CommutativityRaceDetector::process(const Event &E) {
   VCState.process(E);
 }
 
-void CommutativityRaceDetector::processKinded(const Event *Evs,
-                                              const uint8_t *Kinds, size_t N) {
+void CommutativityRaceDetector::processTrace(const Trace &T) {
+  // The trace goes through the batched kernel one window at a time.
+  constexpr size_t Window = 4096;
+  EventBatch B;
+  for (const Event &E : T) {
+    B.append(E);
+    if (B.size() == Window) {
+      processBatch(B);
+      B.clear();
+    }
+  }
+  processBatch(B);
+}
+
+void CommutativityRaceDetector::processBatch(const EventBatch &B) {
+  if (B.empty())
+    return;
   uint64_t Begin = metrics::nowNs();
   InvokeScratch.clear();
+  size_t RunRecord = 0; // B.Invokes index of the pending run's first invoke.
   auto Resolve = [this](ThreadId T) -> const VectorClock & {
     return VCState.clockOf(T);
   };
   auto FlushRun = [&] {
     if (InvokeScratch.empty())
       return;
-    Engine.onRun(Evs, InvokeScratch.data(), InvokeScratch.size(), EventIndex,
-                 Resolve);
+    Engine.onRun(B, InvokeScratch.data(), InvokeScratch.size(), RunRecord,
+                 EventIndex, Resolve);
+    RunRecord += InvokeScratch.size();
     InvokeScratch.clear();
   };
   // The kind encoding puts fork/join/acquire/release below Invoke, so the
   // kind bytes alone find both the sync events and the invokes; memory and
   // transaction events are never loaded.
   constexpr uint8_t InvokeKind = static_cast<uint8_t>(EventKind::Invoke);
-  for (size_t P = 0; P != N; ++P) {
+  const uint8_t *Kinds = B.Kinds.data();
+  for (size_t P = 0, N = B.size(); P != N; ++P) {
     if (Kinds[P] < SyncKindBound) {
       // Sync event: the run before it is complete — execute its actions
       // (their clocks predate this Table 1 update), then advance clocks.
       FlushRun();
-      VCState.process(Evs[P]);
+      VCState.sync(static_cast<EventKind>(Kinds[P]), B.Threads[P],
+                   B.Operands[P]);
     } else if (Kinds[P] == InvokeKind) {
       InvokeScratch.push_back(static_cast<uint32_t>(P));
     }
   }
   FlushRun();
-  EventIndex += N;
+  EventIndex += B.size();
   KernelNs += metrics::nowNs() - Begin;
-}
-
-void CommutativityRaceDetector::processTrace(const Trace &T) {
-  // Windowed kernel feed: the trace stores events (not kind bytes), so
-  // each window gathers its kinds into reusable scratch first.
-  constexpr size_t Window = 4096;
-  const std::vector<Event> &Events = T.events();
-  for (size_t Begin = 0; Begin < Events.size(); Begin += Window) {
-    size_t N = std::min(Window, Events.size() - Begin);
-    KindScratch.clear();
-    for (size_t J = 0; J != N; ++J)
-      KindScratch.push_back(static_cast<uint8_t>(Events[Begin + J].kind()));
-    processKinded(Events.data() + Begin, KindScratch.data(), N);
-  }
-}
-
-void CommutativityRaceDetector::processBatch(const EventBatch &B) {
-  if (B.empty())
-    return;
-  assert(B.Kinds.size() == B.Events.size() && "batch kind array out of sync");
-  processKinded(B.Events.data(), B.Kinds.data(), B.size());
 }
 
 bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
@@ -89,7 +86,7 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
       Engine.mutationStamp() != Token.EngineStamp)
     return false;
   for (size_t I = From, E = From + N; I != E; ++I)
-    if (B.Events[I].isSync())
+    if (B.Kinds[I] < SyncKindBound)
       return false;
 
   // State no-op ⇒ entry versions == current versions: the footprint can
@@ -98,12 +95,12 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
   std::vector<ObjectId> Objects;
   uint64_t Invokes = 0, Mem = 0, Tx = 0;
   for (size_t I = From, E = From + N; I != E; ++I) {
-    const Event &Ev = B.Events[I];
-    Threads.push_back(Ev.thread());
-    if (Ev.isInvoke()) {
+    Threads.push_back(B.Threads[I]);
+    auto Kind = static_cast<EventKind>(B.Kinds[I]);
+    if (Kind == EventKind::Invoke) {
       ++Invokes;
-      Objects.push_back(Ev.action().object());
-    } else if (Ev.isMemoryAccess()) {
+      Objects.push_back(ObjectId(B.Operands[I]));
+    } else if (Kind == EventKind::Read || Kind == EventKind::Write) {
       ++Mem;
     } else {
       ++Tx;

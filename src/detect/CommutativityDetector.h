@@ -50,15 +50,16 @@ public:
   /// Feeds one event (any kind; non-action events update clocks only).
   void process(const Event &E);
 
-  /// Feeds a whole trace. Routed through the batched kernel: events are
-  /// windowed, kind-scanned, and each sync-free run's actions execute
-  /// through the engine's batched onRun() — bit-identical races to the
-  /// per-event path.
+  /// Feeds a whole trace through the batched kernel, appending it to a
+  /// batch one window at a time — bit-identical races to the per-event
+  /// path.
   void processTrace(const Trace &T);
 
   /// Feeds a whole batch through the batched kernel (the streaming
-  /// pipeline's pull loop). Only \p B's Events and Kinds are consulted.
-  /// \p B is left untouched.
+  /// pipeline's pull loop): one scan over the kind bytes collects each
+  /// run's invoke positions, flushes them into the engine's onRun() at the
+  /// next sync event and hands that sync event to the clock machine as
+  /// (kind, thread, operand). \p B is left untouched.
   void processBatch(const EventBatch &B);
 
   /// Nanoseconds spent inside the batched kernel (processTrace /
@@ -155,19 +156,12 @@ public:
   }
 
 private:
-  /// The kernel driver shared by processTrace/processBatch: one scan over
-  /// the kind bytes collects each run's invoke positions, flushes them into
-  /// Engine.onRun() at the next sync event and feeds that sync event to the
-  /// clock machine. \p Kinds[i] must be Evs[i]'s kind byte.
-  void processKinded(const Event *Evs, const uint8_t *Kinds, size_t N);
-
   VectorClockState VCState;
   Algorithm1Engine Engine;
   size_t EventIndex = 0;
-  /// processKinded scratch, reused across windows (allocation-free in the
-  /// steady state).
+  /// processBatch()'s run positions, reused across batches
+  /// (allocation-free in the steady state).
   std::vector<uint32_t> InvokeScratch;
-  std::vector<uint8_t> KindScratch;
   uint64_t KernelNs = 0;
 };
 

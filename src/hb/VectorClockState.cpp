@@ -10,12 +10,16 @@
 
 using namespace crd;
 
+void VectorClockState::ensureThread(ThreadId Thread) {
+  if (Thread.index() < Threads.size())
+    return;
+  Threads.resize(Thread.index() + 1);
+  Initialized.resize(Thread.index() + 1, false);
+  Versions.resize(Thread.index() + 1, 0);
+}
+
 VectorClock &VectorClockState::threadClock(ThreadId Thread) {
-  if (Thread.index() >= Threads.size()) {
-    Threads.resize(Thread.index() + 1);
-    Initialized.resize(Thread.index() + 1, false);
-    Versions.resize(Thread.index() + 1, 0);
-  }
+  ensureThread(Thread);
   if (!Initialized[Thread.index()]) {
     // Lazy initialization to inc_τ(⊥): each thread starts one step into its
     // own local time. See the header comment for why this matters.
@@ -56,52 +60,54 @@ const VectorClock &VectorClockState::lockClock(LockId Lock) const {
   return Found ? *Found : Bottom;
 }
 
-void VectorClockState::process(const Event &E) {
-  switch (E.kind()) {
+void VectorClockState::sync(EventKind Kind, ThreadId Thread,
+                            uint32_t Operand) {
+  switch (Kind) {
   case EventKind::Fork: {
     // T(u) ← inc_u(T(τ)); T(τ) ← inc_τ(T(τ)).
-    ThreadId Child = E.other();
+    ThreadId Child(Operand);
     // Grow the table for the child BEFORE taking a reference to the parent
-    // clock: resizing invalidates references into Threads.
-    if (Child.index() >= Threads.size()) {
-      Threads.resize(Child.index() + 1);
-      Initialized.resize(Child.index() + 1, false);
-      Versions.resize(Child.index() + 1, 0);
-    }
-    assert(!Initialized[Child.index()] && "forked thread already initialized");
-    VectorClock &Parent = threadClock(E.thread());
+    // clock: resizing invalidates references into Threads. A trace may fork
+    // a thread it has already started; the child then restarts from the
+    // parent's clock.
+    ensureThread(Child);
+    VectorClock &Parent = threadClock(Thread);
     VectorClock ChildClock = Parent;
     ChildClock.increment(Child);
     Threads[Child.index()] = std::move(ChildClock);
     Initialized[Child.index()] = true;
     touch(Child.index());
-    threadClock(E.thread()).increment(E.thread());
-    touch(E.thread().index());
+    threadClock(Thread).increment(Thread);
+    touch(Thread.index());
     return;
   }
   case EventKind::Join: {
-    // T(τ) ← T(τ) ⊔ T(u).
-    VectorClock &Self = threadClock(E.thread());
-    Self.joinWith(threadClock(E.other()));
-    touch(E.thread().index());
+    // T(τ) ← T(τ) ⊔ T(u). Both clocks are referenced at once, so grow the
+    // table for the joined thread first, as for Fork: a trace may join a
+    // thread it has never seen.
+    ThreadId Child(Operand);
+    ensureThread(Child);
+    VectorClock &Self = threadClock(Thread);
+    Self.joinWith(threadClock(Child));
+    touch(Thread.index());
     return;
   }
   case EventKind::Acquire: {
     // T(τ) ← T(τ) ⊔ L(l).
-    if (const VectorClock *L = findLockClock(E.lock())) {
-      threadClock(E.thread()).joinWith(*L);
-      touch(E.thread().index());
+    if (const VectorClock *L = findLockClock(LockId(Operand))) {
+      threadClock(Thread).joinWith(*L);
+      touch(Thread.index());
     } else {
-      threadClock(E.thread()); // Still forces lazy initialization.
+      threadClock(Thread); // Still forces lazy initialization.
     }
     return;
   }
   case EventKind::Release: {
     // L(l) ← T(τ); T(τ) ← inc_τ(T(τ)).
-    VectorClock &Self = threadClock(E.thread());
-    lockClockFor(E.lock()) = Self;
-    Self.increment(E.thread());
-    touch(E.thread().index());
+    VectorClock &Self = threadClock(Thread);
+    lockClockFor(LockId(Operand)) = Self;
+    Self.increment(Thread);
+    touch(Thread.index());
     return;
   }
   case EventKind::Invoke:
@@ -109,7 +115,7 @@ void VectorClockState::process(const Event &E) {
   case EventKind::Write:
   case EventKind::TxBegin:
   case EventKind::TxEnd:
-    threadClock(E.thread()); // Forces lazy initialization only.
-    return;
+    break;
   }
+  assert(false && "not a synchronization event");
 }

@@ -46,9 +46,19 @@ public:
   VectorClockState() = default;
 
   /// Processes one event. For synchronization events this applies the
-  /// Table 1 update; for action and memory events it is a no-op (the clock
-  /// is read with clockOf()).
-  void process(const Event &E);
+  /// Table 1 update (see sync()); for other events it only initializes
+  /// the thread's clock (the clock is read with clockOf()).
+  void process(const Event &E) {
+    if (E.isSync())
+      sync(E.kind(), E.thread(), E.operand());
+    else
+      threadClock(E.thread());
+  }
+
+  /// Applies the Table 1 update of the synchronization event \p Kind by
+  /// \p Thread on \p Operand: the forked or joined thread, or the lock —
+  /// the batched kernel's entry, which reads events by column.
+  void sync(EventKind Kind, ThreadId Thread, uint32_t Operand);
 
   /// Returns T(τ), the clock an action of \p Thread would be stamped with.
   /// Initializes the thread lazily to inc_τ(⊥) on first use.
@@ -87,6 +97,10 @@ private:
   static constexpr size_t InlineLockSlots = 4;
 
   VectorClock &threadClock(ThreadId Thread);
+
+  /// Grows the per-thread tables to cover \p Thread. Growing moves every
+  /// clock, so callers holding two clocks grow first.
+  void ensureThread(ThreadId Thread);
 
   /// Returns L(l) for update, creating the entry (inline first, then
   /// overflow) on first release of \p Lock.

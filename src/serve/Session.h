@@ -9,9 +9,9 @@
 /// (handshake → streaming → done), the inner wire framing that turns an
 /// arbitrarily sliced byte stream back into whole chunks, and the
 /// per-session decode + detection pipeline. Everything that used to be
-/// one-trace-per-process — the WireReader with its memo payload store and
-/// spill arenas, the StreamPipeline with its detector state and memo
-/// table, the diagnostic engine — lives here, one instance per session, so
+/// one-trace-per-process — the WireReader with its memo payload store, the
+/// StreamPipeline with its pull batch, detector state and memo table, the
+/// diagnostic engine — lives here, one instance per session, so
 /// N sessions detect N traces with zero shared mutable state (the one
 /// deliberate exception is the process-wide symbol table, which is
 /// mutex-guarded, append-only and content-addressed: concurrent interning
@@ -52,8 +52,8 @@ struct SessionLimits {
   /// Bound on buffered-but-unprocessed input bytes. Crossing it stops
   /// reading the socket (kernel flow control pushes back to the client).
   size_t MaxBufferedBytes = 8u << 20;
-  /// Ceiling on the session's resident footprint (buffers + decode arenas
-  /// + memo payload store); 0 = unlimited. A session that exceeds it is
+  /// Ceiling on the session's resident footprint (buffers + the pull
+  /// batch + memo payload store); 0 = unlimited. A session that exceeds it is
   /// killed with an `error` line — client die notices ('D' frames) are
   /// the cooperative way to stay under it.
   size_t MaxSessionBytes = 0;

@@ -16,21 +16,21 @@
 ///     dictionary/set/queue workloads never exceed three, so owning
 ///     actions are allocation-free in the common case;
 ///   * a heap block, for larger owning actions;
-///   * externally (an arena view), for actions decoded from the wire —
-///     the values belong to the arena of the batch they were decoded
-///     into, and the action holds only a pointer.
+///   * externally, for views of a decoded batch's invokes — the values
+///     belong to the batch's value column (EventBatch::Values) and the
+///     action holds only a pointer, valid until the batch is cleared or
+///     refilled.
 /// Copying an action always deep-copies the values into the new action
-/// (inline or heap), so a copy is safe to keep past the source arena's
-/// reset; moving preserves the view. This is the lifetime contract the
-/// streaming pipeline relies on: a batch pins every action appended to it
-/// from elsewhere into its own arena (EventBatch::append).
+/// (inline or heap), so a copy outlives the batch it viewed; moving
+/// preserves the view. This is the lifetime rule of the streaming
+/// pipeline: whatever keeps an action past its batch (a race record, a
+/// materialized Trace) keeps a copy.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRD_TRACE_ACTION_H
 #define CRD_TRACE_ACTION_H
 
-#include "support/Arena.h"
 #include "support/Ids.h"
 #include "support/Symbol.h"
 #include "support/Value.h"
@@ -79,11 +79,25 @@ public:
   }
 
   /// View constructor: \p Vals points at NArgs arguments followed by NRets
-  /// returns owned by someone else (a decoded batch's arena). The action
-  /// is valid only as long as that storage; copy it to detach.
+  /// returns owned by someone else (a decoded batch's value column). The
+  /// action is valid only as long as that storage; copy it to detach.
   Action(ObjectId Obj, Symbol Method, const Value *Vals, uint32_t NArgs,
          uint32_t NRets)
       : Obj(Obj), Method(Method), Vals(Vals), NArgs(NArgs), NRets(NRets) {}
+
+  /// Points this view at another invocation, as the view constructor
+  /// would, without building one: the batched kernel re-points one action
+  /// per invoke. Only for views (or default-constructed actions): an
+  /// owning action's heap block would leak.
+  void repoint(ObjectId NewObj, Symbol NewMethod, const Value *NewVals,
+               uint32_t NewNArgs, uint32_t NewNRets) {
+    assert(!Heap && "re-pointing an owning action");
+    Obj = NewObj;
+    Method = NewMethod;
+    Vals = NewVals;
+    NArgs = NewNArgs;
+    NRets = NewNRets;
+  }
 
   Action(const Action &Other) { copyFrom(Other); }
 
@@ -129,22 +143,8 @@ public:
   std::vector<Value> values() const;
 
   /// Flattened values ~u~v as a view over the action's contiguous value
-  /// storage. Valid as long as the action (or, for views, the arena).
+  /// storage. Valid as long as the action (or, for views, the batch).
   std::span<const Value> flatValues() const { return {Vals, numValues()}; }
-
-  /// Copies this action, placing spilled values (beyond the inline
-  /// capacity) in \p Spill instead of a per-action heap block. The copy is
-  /// owning for small actions and an arena view otherwise, so batch
-  /// owners that reset their arena between batches copy actions of any
-  /// size without heap traffic.
-  Action copyInto(Arena &Spill) const {
-    size_t Count = numValues();
-    if (Count <= InlineValues)
-      return *this; // Copy ctor lands inline: already allocation-free.
-    Value *Block = Spill.allocate<Value>(Count);
-    std::copy(Vals, Vals + Count, Block);
-    return Action(Obj, Method, Block, NArgs, NRets);
-  }
 
   friend bool operator==(const Action &A, const Action &B) {
     return A.Obj == B.Obj && A.Method == B.Method && A.NArgs == B.NArgs &&
@@ -176,7 +176,7 @@ private:
     return Dst;
   }
 
-  /// Deep copy: always lands in owned storage, detaching from any arena
+  /// Deep copy: always lands in owned storage, detaching from any batch
   /// the source viewed. Requires Heap to be empty.
   void copyFrom(const Action &Other) {
     Obj = Other.Obj;

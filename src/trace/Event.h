@@ -45,24 +45,16 @@ public:
   Event() : Event(EventKind::TxBegin, ThreadId(0)) {}
 
   static Event fork(ThreadId Thread, ThreadId Child) {
-    Event E(EventKind::Fork, Thread);
-    E.Other = Child;
-    return E;
+    return withOperand(EventKind::Fork, Thread, Child.index());
   }
   static Event join(ThreadId Thread, ThreadId Child) {
-    Event E(EventKind::Join, Thread);
-    E.Other = Child;
-    return E;
+    return withOperand(EventKind::Join, Thread, Child.index());
   }
   static Event acquire(ThreadId Thread, LockId Lock) {
-    Event E(EventKind::Acquire, Thread);
-    E.Lock = Lock;
-    return E;
+    return withOperand(EventKind::Acquire, Thread, Lock.index());
   }
   static Event release(ThreadId Thread, LockId Lock) {
-    Event E(EventKind::Release, Thread);
-    E.Lock = Lock;
-    return E;
+    return withOperand(EventKind::Release, Thread, Lock.index());
   }
   static Event invoke(ThreadId Thread, Action TheAction) {
     Event E(EventKind::Invoke, Thread);
@@ -70,20 +62,24 @@ public:
     return E;
   }
   static Event read(ThreadId Thread, VarId Var) {
-    Event E(EventKind::Read, Thread);
-    E.Var = Var;
-    return E;
+    return withOperand(EventKind::Read, Thread, Var.index());
   }
   static Event write(ThreadId Thread, VarId Var) {
-    Event E(EventKind::Write, Thread);
-    E.Var = Var;
-    return E;
+    return withOperand(EventKind::Write, Thread, Var.index());
   }
   static Event txBegin(ThreadId Thread) {
     return Event(EventKind::TxBegin, Thread);
   }
   static Event txEnd(ThreadId Thread) {
     return Event(EventKind::TxEnd, Thread);
+  }
+
+  /// Any non-invoke event from its kind and raw operand (see operand()).
+  static Event withOperand(EventKind Kind, ThreadId Thread, uint32_t Operand) {
+    assert(Kind != EventKind::Invoke && "an action event needs its action");
+    Event E(Kind, Thread);
+    E.Operand = Operand;
+    return E;
   }
 
   EventKind kind() const { return Kind; }
@@ -102,20 +98,27 @@ public:
   ThreadId other() const {
     assert((Kind == EventKind::Fork || Kind == EventKind::Join) &&
            "event has no target thread");
-    return Other;
+    return ThreadId(Operand);
   }
 
   /// The lock; valid for Acquire and Release events.
   LockId lock() const {
     assert((Kind == EventKind::Acquire || Kind == EventKind::Release) &&
            "event has no lock");
-    return Lock;
+    return LockId(Operand);
   }
 
   /// The memory location; valid for Read and Write events.
   VarId var() const {
     assert(isMemoryAccess() && "event has no memory location");
-    return Var;
+    return VarId(Operand);
+  }
+
+  /// The event's id operand as a raw index: the forked/joined thread, the
+  /// lock, the memory location or the invoked object; 0 for transaction
+  /// events. EventBatch stores events by kind, thread and this operand.
+  uint32_t operand() const {
+    return Kind == EventKind::Invoke ? TheAction.object().index() : Operand;
   }
 
   /// The invoked action; valid for Invoke events.
@@ -132,9 +135,9 @@ private:
 
   EventKind Kind;
   ThreadId Thread;
-  ThreadId Other;
-  LockId Lock;
-  VarId Var;
+  /// Child thread, lock or memory location (see operand()); the action
+  /// carries an invoke's object.
+  uint32_t Operand = 0;
   Action TheAction;
 };
 

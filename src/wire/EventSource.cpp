@@ -33,15 +33,11 @@ bool TextStreamSource::next(Event &E) {
 }
 
 bool BinaryStreamSource::next(Event &E) {
-  if (Handed == Buffered.size()) {
-    Buffered.clear();
-    Handed = 0;
-    if (Reader.nextBatch(Buffered, PullBatchEvents) == 0)
-      return false;
-  }
-  // The move keeps the action a view into Buffered's arena.
-  E = std::move(Buffered.Events[Handed++]);
-  return true;
+  if (Unread.next(E))
+    return true;
+  Buffered.clear();
+  Unread = EventBatch::Cursor(Buffered);
+  return Reader.nextBatch(Buffered, PullBatchEvents) != 0 && Unread.next(E);
 }
 
 namespace {

@@ -15,10 +15,11 @@
 /// analyze) call next().
 ///
 /// Lifetime: the binary source decodes a batch at a time, and an invoke
-/// event's values live in the arena of the batch that holds it. next()
-/// hands out the events of the source's own batch, so an event it returns
-/// is valid until the next next() call; consumers that retain one longer
-/// copy it (Action's copy constructor detaches from the arena).
+/// event's values live in the value column of the batch that holds it.
+/// next() reads the events of the source's own batch back through an
+/// EventBatch::Cursor, so an event it returns is valid until the batch is
+/// refilled: at the latest, the next next() call. Consumers that retain
+/// one longer copy it (Action's copy constructor detaches the values).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,12 +46,11 @@ public:
   /// diagnosed input error (check failed()).
   virtual bool next(Event &E) = 0;
 
-  /// Batch pull: appends up to \p MaxEvents events to \p B and returns how
-  /// many were appended (0 at end of stream / on error). The batch owns
-  /// every payload (B pins invoke values into its own arena) and carries
-  /// the kind array the batched detection kernel scans. The default pulls
-  /// next() one event at a time; the binary source overrides this with the
-  /// decoder's batch loop.
+  /// Batch pull: appends up to \p MaxEvents events to \p B's columns and
+  /// returns how many were appended (0 at end of stream / on error). The
+  /// batch owns every payload (invoke values are copied into B.Values).
+  /// The default pulls next() one event at a time; the binary source
+  /// overrides this with the decoder's batch loop.
   virtual size_t nextBatch(EventBatch &B, size_t MaxEvents) {
     Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
     size_t N = 0;
@@ -114,7 +114,7 @@ private:
 inline constexpr size_t PullBatchEvents = 4096;
 
 /// Streams a binary wire trace. Batches come straight from the decoder's
-/// one loop; next() hands out the events of a batch of its own, refilled
+/// one loop; next() reads back the events of a batch of its own, refilled
 /// through the same loop. Pull a source either way, not both: nextBatch()
 /// does not see events that next() has buffered.
 class BinaryStreamSource : public EventSource {
@@ -134,8 +134,8 @@ public:
 
 private:
   WireReader Reader;
-  EventBatch Buffered; ///< next()'s batch.
-  size_t Handed = 0;   ///< Events of Buffered that next() returned.
+  EventBatch Buffered;                 ///< next()'s batch.
+  EventBatch::Cursor Unread{Buffered}; ///< next()'s place in Buffered.
 };
 
 /// Opens \p Path and returns the matching source: binary when the file

@@ -132,7 +132,9 @@ void StreamPipeline::detectBatch(const EventBatch &B) {
     // surface (and hit the callback) after the batch.
     Seq->processBatch(B);
   } else {
-    for (const Event &E : B.Events) {
+    EventBatch::Cursor Events(B);
+    Event E;
+    while (Events.next(E)) {
       if (FT)
         FT->process(E);
       else
@@ -196,6 +198,9 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
 }
 
 void StreamPipeline::pump(EventSource &Source) {
+  // Batches hold up to PullBatchEvents events (a chunk, on the memo loop):
+  // size the per-event columns once instead of growing them step by step.
+  PumpBatch.reserve(PullBatchEvents);
   // The summary loop needs the sequential detector (chunk replay needs
   // exclusive, in-order access to the full detector state) and a wire
   // source; every other combination takes the batched pull.

@@ -133,9 +133,9 @@ public:
   /// Memoization counters (zero unless run() drove the Full memo loop).
   const PipelineMemoStats &memoStats() const { return MemoStats; }
 
-  /// Resident bytes of the recycled pull batch, its value arena included
-  /// — the piece of pipeline footprint a serving session must budget
-  /// alongside the decoder's memo store (EventBatch::memoryFootprint()).
+  /// Resident bytes of the recycled pull batch's columns — the piece of
+  /// pipeline footprint a serving session must budget alongside the
+  /// decoder's memo store (EventBatch::memoryFootprint()).
   size_t batchFootprint() const { return PumpBatch.memoryFootprint(); }
 
   /// Hands any findings not yet passed to the callbacks over; call once

@@ -10,7 +10,8 @@
 #include "wire/Crc32.h"
 #include "wire/Varint.h"
 
-#include <cstring>
+#include <algorithm>
+#include <iterator>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -185,6 +186,55 @@ bool decodeSymbolTable(ByteReader &R, std::vector<Symbol> &Syms,
   return true;
 }
 
+/// The in-memory kind of each opcode, indexed by opcode: the inverse of
+/// the writer's opcodeOf().
+constexpr EventKind KindOfOpcode[] = {
+    EventKind::Fork,    EventKind::Join,    EventKind::Acquire,
+    EventKind::Release, EventKind::Invoke,  EventKind::Read,
+    EventKind::Write,   EventKind::TxBegin, EventKind::TxEnd};
+static_assert(std::size(KindOfOpcode) ==
+                  static_cast<size_t>(Opcode::TxEnd) + 1,
+              "one kind per opcode");
+
+/// Appends \p Count values read from \p R to \p Out; string values index
+/// \p Syms. Returns false on malformed input, leaving the values decoded
+/// so far appended for the caller to drop.
+bool decodeValues(ByteReader &R, const std::vector<Symbol> &Syms,
+                  uint64_t Count, std::vector<Value> &Out) {
+  for (; Count; --Count) {
+    auto Tag = R.byte();
+    if (!Tag)
+      return false;
+    switch (static_cast<ValueTag>(*Tag)) {
+    case ValueTag::Nil:
+      Out.push_back(Value::nil());
+      continue;
+    case ValueTag::False:
+      Out.push_back(Value::boolean(false));
+      continue;
+    case ValueTag::True:
+      Out.push_back(Value::boolean(true));
+      continue;
+    case ValueTag::Int: {
+      auto I = R.svarint();
+      if (!I)
+        return false;
+      Out.push_back(Value::integer(*I));
+      continue;
+    }
+    case ValueTag::Str: {
+      auto Id = R.varint();
+      if (!Id || *Id >= Syms.size())
+        return false;
+      Out.push_back(Value::string(Syms[static_cast<size_t>(*Id)]));
+      continue;
+    }
+    }
+    return false;
+  }
+  return true;
+}
+
 } // namespace
 
 WireReader::WireReader(std::istream &In, DiagnosticEngine &Diags)
@@ -252,33 +302,25 @@ bool WireReader::loadChunk() {
 }
 
 size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
+  // Invoke records hold 32-bit value offsets. An event carries at most one
+  // payload's worth of values (each takes a byte or more), so a pull that
+  // stops taking events here never overflows them.
+  constexpr size_t MaxBatchValues =
+      std::numeric_limits<uint32_t>::max() - MaxChunkPayload;
   size_t Decoded = 0;
-  Event E = Event::txBegin(ThreadId(0)); // Overwritten by decodeEvent.
-  while (Decoded != MaxEvents) {
-    if (Failed)
-      break;
+  while (Decoded != MaxEvents && !Failed &&
+         B.Values.size() <= MaxBatchValues) {
     if (EventsLeft == 0) {
       if (!loadChunk())
         break;
       continue;
     }
-    // Values land in the batch's arena, so the events appended here stay
-    // valid across the chunk turnover above — a batch may span chunks.
-    if (!decodeEvent(E, B.Values))
+    // The batch owns what is decoded into it, so it may span chunks.
+    if (!decodeInto(B))
       break;
-    --EventsLeft;
-    ++NumEvents;
-    // A chunk's events must consume its payload exactly.
-    if (EventsLeft == 0 && Pos != Payload.size()) {
-      fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
-           " trailing payload bytes after last event");
-      break;
-    }
-    B.appendPinned(std::move(E));
     ++Decoded;
   }
-  if (B.Values.bytesUsed() > ArenaPeak)
-    ArenaPeak = B.Values.bytesUsed();
+  ArenaPeak = std::max<uint64_t>(ArenaPeak, B.Values.size() * sizeof(Value));
   return Decoded;
 }
 
@@ -316,10 +358,9 @@ void WireReader::skipChunk() {
   MemoBytesSaved += Payload.size();
 }
 
-bool WireReader::decodeEvent(Event &E, Arena &Values) {
+bool WireReader::decodeInto(EventBatch &B) {
   ByteReader R(reinterpret_cast<const uint8_t *>(Payload.data()) + Pos,
                Payload.size() - Pos);
-  auto finishAt = [&] { Pos += R.offset(); };
 
   auto Op = R.byte();
   if (!Op) {
@@ -357,140 +398,72 @@ bool WireReader::decodeEvent(Event &E, Arena &Values) {
     fail("malformed event: bad thread id");
     return false;
   }
-  ThreadId Self(Thread);
 
-  auto decodeValue = [&](Value &Out) {
-    auto Tag = R.byte();
-    if (!Tag)
-      return false;
-    switch (static_cast<ValueTag>(*Tag)) {
-    case ValueTag::Nil:
-      Out = Value::nil();
-      return true;
-    case ValueTag::False:
-      Out = Value::boolean(false);
-      return true;
-    case ValueTag::True:
-      Out = Value::boolean(true);
-      return true;
-    case ValueTag::Int: {
-      auto V = R.svarint();
-      if (!V)
-        return false;
-      Out = Value::integer(*V);
-      return true;
-    }
-    case ValueTag::Str: {
-      auto Id = R.varint();
-      if (!Id || *Id >= Syms.size())
-        return false;
-      Out = Value::string(Syms[static_cast<size_t>(*Id)]);
-      return true;
-    }
-    }
+  // Values go straight into the value column. Every failure from here on
+  // drops them again, so a failed pull leaves only whole events.
+  size_t FirstValue = B.Values.size();
+  auto failEvent = [&](std::string Message) {
+    B.Values.resize(FirstValue);
+    fail(std::move(Message));
     return false;
   };
-
+  uint32_t Operand = 0;
+  EventBatch::InvokeRecord Record;
   switch (static_cast<Opcode>(*Op)) {
   case Opcode::Fork:
-  case Opcode::Join: {
-    uint32_t Other = 0;
-    if (!rawId(Other)) {
-      fail("malformed fork/join event: bad target thread");
-      return false;
-    }
-    E = static_cast<Opcode>(*Op) == Opcode::Fork
-            ? Event::fork(Self, ThreadId(Other))
-            : Event::join(Self, ThreadId(Other));
-    finishAt();
-    return true;
-  }
+  case Opcode::Join:
+    if (!rawId(Operand))
+      return failEvent("malformed fork/join event: bad target thread");
+    break;
   case Opcode::Acquire:
-  case Opcode::Release: {
-    uint32_t Lock = 0;
-    if (!rawId(Lock)) {
-      fail("malformed acquire/release event: bad lock id");
-      return false;
-    }
-    E = static_cast<Opcode>(*Op) == Opcode::Acquire
-            ? Event::acquire(Self, LockId(Lock))
-            : Event::release(Self, LockId(Lock));
-    finishAt();
-    return true;
-  }
+  case Opcode::Release:
+    if (!rawId(Operand))
+      return failEvent("malformed acquire/release event: bad lock id");
+    break;
   case Opcode::Read:
-  case Opcode::Write: {
-    uint32_t Var = 0;
-    if (!rawId(Var)) {
-      fail("malformed read/write event: bad location id");
-      return false;
-    }
-    E = static_cast<Opcode>(*Op) == Opcode::Read ? Event::read(Self, VarId(Var))
-                                                 : Event::write(Self, VarId(Var));
-    finishAt();
-    return true;
-  }
+  case Opcode::Write:
+    if (!rawId(Operand))
+      return failEvent("malformed read/write event: bad location id");
+    break;
   case Opcode::TxBegin:
-    E = Event::txBegin(Self);
-    finishAt();
-    return true;
   case Opcode::TxEnd:
-    E = Event::txEnd(Self);
-    finishAt();
-    return true;
+    break;
   case Opcode::Invoke: {
-    uint32_t Obj = 0;
-    if (!deltaId(PrevObject, Obj)) {
-      fail("malformed action event: bad object id");
-      return false;
-    }
+    if (!deltaId(PrevObject, Operand))
+      return failEvent("malformed action event: bad object id");
     auto MethodId = R.varint();
-    if (!MethodId || *MethodId >= Syms.size()) {
-      fail("malformed action event: bad method symbol");
-      return false;
-    }
+    if (!MethodId || *MethodId >= Syms.size())
+      return failEvent("malformed action event: bad method symbol");
     auto NArgs = R.varint();
-    if (!NArgs || *NArgs > R.remaining()) { // Each value needs ≥ 1 byte.
-      fail("malformed action event: bad argument count");
-      return false;
-    }
-    // Stage the values in the reusable scratch buffer (the return count is
-    // not known until the arguments are decoded), then move them into one
-    // contiguous arena block the Action views. Steady state: no heap
-    // traffic — the scratch capacity and arena chunks persist.
-    ScratchValues.resize(static_cast<size_t>(*NArgs));
-    for (Value &V : ScratchValues)
-      if (!decodeValue(V)) {
-        fail("malformed action event: bad argument value");
-        return false;
-      }
+    if (!NArgs || *NArgs > R.remaining()) // Each value needs ≥ 1 byte.
+      return failEvent("malformed action event: bad argument count");
+    if (!decodeValues(R, Syms, *NArgs, B.Values))
+      return failEvent("malformed action event: bad argument value");
     auto NRets = R.varint();
-    if (!NRets || *NRets > R.remaining()) {
-      fail("malformed action event: bad return count");
-      return false;
-    }
-    size_t Total = static_cast<size_t>(*NArgs) + static_cast<size_t>(*NRets);
-    ScratchValues.resize(Total);
-    for (size_t I = static_cast<size_t>(*NArgs); I != Total; ++I)
-      if (!decodeValue(ScratchValues[I])) {
-        fail("malformed action event: bad return value");
-        return false;
-      }
-    const Value *Vals = nullptr;
-    if (Total != 0) {
-      Value *Block = Values.allocate<Value>(Total);
-      std::memcpy(Block, ScratchValues.data(), Total * sizeof(Value));
-      Vals = Block;
-    }
-    E = Event::invoke(Self,
-                      Action(ObjectId(Obj), Syms[static_cast<size_t>(*MethodId)],
-                             Vals, static_cast<uint32_t>(*NArgs),
-                             static_cast<uint32_t>(*NRets)));
-    finishAt();
-    return true;
+    if (!NRets || *NRets > R.remaining())
+      return failEvent("malformed action event: bad return count");
+    if (!decodeValues(R, Syms, *NRets, B.Values))
+      return failEvent("malformed action event: bad return value");
+    Record = {Syms[static_cast<size_t>(*MethodId)],
+              static_cast<uint32_t>(FirstValue),
+              static_cast<uint32_t>(*NArgs), static_cast<uint32_t>(*NRets)};
+    break;
   }
   }
-  return false; // Unreachable.
+  Pos += R.offset();
+  --EventsLeft;
+  ++NumEvents;
+  // A chunk's events must consume its payload exactly.
+  if (EventsLeft == 0 && Pos != Payload.size())
+    return failEvent("malformed chunk: " +
+                     std::to_string(Payload.size() - Pos) +
+                     " trailing payload bytes after last event");
+  B.Kinds.push_back(static_cast<uint8_t>(KindOfOpcode[*Op]));
+  B.Threads.push_back(ThreadId(Thread));
+  B.Operands.push_back(Operand);
+  if (*Op == static_cast<uint8_t>(Opcode::Invoke))
+    B.Invokes.push_back(Record);
+  return true;
 }
 
 std::optional<WireFileInfo> wire::scanWire(std::istream &In,

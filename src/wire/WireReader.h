@@ -14,21 +14,20 @@
 /// as a diagnostic with the file offset, never as a crash: the reader is
 /// the wire-fuzz target and must survive arbitrary bytes.
 ///
-/// Events come out in batches, from one decode loop (nextBatch()). The
-/// lifetime rule is the batch's: an invoke event's argument and return
-/// values are decoded straight into the batch's own arena and the Event
-/// holds an Action *view* into it, valid until the batch is cleared. A
-/// batch may span chunks. Consumers that keep an event longer copy it —
-/// Action's copy constructor deep-copies the values out. In the steady
-/// state the recycled batch's arena chunks and the scratch buffer are all
-/// reused, so decoding allocates nothing.
+/// Events come out in batches, from one decode loop (nextBatch()) that
+/// writes each event straight into the batch's columns (EventBatch.h): no
+/// Event is built and no value is staged. The lifetime rule is the
+/// batch's: the batch owns the decoded values, so it may span chunks, and
+/// an Action read back from it views its value column until the batch is
+/// cleared. Consumers that keep an event longer copy it — Action's copy
+/// constructor deep-copies the values out. A recycled batch keeps its
+/// column capacity, so in the steady state decoding allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRD_WIRE_WIREREADER_H
 #define CRD_WIRE_WIREREADER_H
 
-#include "support/Arena.h"
 #include "support/Diagnostics.h"
 #include "trace/Event.h"
 #include "trace/EventBatch.h"
@@ -55,7 +54,7 @@ struct WireReaderStats {
   uint64_t PayloadBytes = 0;     ///< Chunk payload bytes read (ex-headers).
   uint64_t Symbols = 0;          ///< Symbol-table entries across all chunks.
   uint64_t ArenaPeakBytes = 0;   ///< Peak bytes in a pulled batch's value
-                                 ///< arena.
+                                 ///< column.
   uint64_t MemoHits = 0;         ///< beginChunk(): verified repeats.
   uint64_t MemoMisses = 0;       ///< beginChunk(): all other chunks.
   uint64_t MemoBytesSaved = 0;   ///< Payload bytes skipped undecoded.
@@ -76,13 +75,12 @@ public:
   /// reader starts out failed and nextBatch() returns 0.
   WireReader(std::istream &In, DiagnosticEngine &Diags);
 
-  /// Batch decode: appends up to \p MaxEvents events to \p B, crossing
-  /// chunk boundaries as needed, and returns how many were appended (0 at
-  /// end of stream or on the first structural error; check failed() to
-  /// tell them apart). The decoded invoke values are pinned in the
-  /// batch's own arena (B.Values), so the batch is self-contained — it
-  /// survives chunk turnover. The kind array (B.Kinds) is filled during
-  /// decode, where the kind byte is already in hand — no separate pass.
+  /// Batch decode: appends up to \p MaxEvents events to \p B's columns,
+  /// crossing chunk boundaries as needed, and returns how many were
+  /// appended (0 at end of stream or on the first structural error; check
+  /// failed() to tell them apart). A failed pull appends only the whole
+  /// events before the error. Invoke values land in B.Values, so the
+  /// batch is self-contained — it survives chunk turnover.
   size_t nextBatch(EventBatch &B, size_t MaxEvents);
 
   /// True once a structural error has been diagnosed; the stream position
@@ -164,7 +162,9 @@ public:
 
 private:
   bool loadChunk();
-  bool decodeEvent(Event &E, Arena &Values);
+  /// Decodes the event at Pos into \p B's columns. On a structural error
+  /// it diagnoses, leaves \p B as it was and returns false.
+  bool decodeInto(EventBatch &B);
   void fail(std::string Message);
 
   std::istream &In;
@@ -175,7 +175,6 @@ private:
   size_t FileOffset = 0;     ///< File offset past everything consumed.
   uint64_t EventsLeft = 0;   ///< Undecoded events in the current chunk.
   std::vector<Symbol> Syms;  ///< Current chunk's symbol table.
-  std::vector<Value> ScratchValues; ///< Reused value staging buffer.
   uint32_t PrevThread = 0;   ///< Thread delta predictor (resets per chunk).
   uint32_t PrevObject = 0;   ///< Object delta predictor (resets per chunk).
   uint8_t Flags = 0;         ///< File-header flags (digest layout bit).

@@ -13,7 +13,9 @@
 ///    way when all the sessions run concurrently against one daemon
 ///    (zero cross-session interference);
 ///  * malformed input kills only the offending session, with the wire
-///    reader's canonical diagnostic;
+///    reader's canonical diagnostic, and a well-formed wire stream of a
+///    malformed trace kills nothing: `crd check` exits 0 or 1 on it with
+///    every detector, and the daemon goes on serving;
 ///  * die notices ('D' frames) are applied in stream order and counted;
 ///  * idle sessions are reclaimed by the timeout sweep, capacity
 ///    rejections are loud, and SIGTERM-style drain still delivers every
@@ -33,11 +35,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -97,6 +104,21 @@ Trace tornCommitTrace() {
   EXPECT_TRUE(T) << Diags.toString();
   return T ? std::move(*T) : Trace();
 }
+
+Trace parseText(const std::string &Text) {
+  DiagnosticEngine Diags;
+  std::optional<Trace> T = parseTrace(Text, Diags);
+  EXPECT_TRUE(T) << Diags.toString();
+  return T ? std::move(*T) : Trace();
+}
+
+/// Malformed traces a client can send in well-formed wire bytes: a join
+/// of a thread the trace never mentioned, a txend that closes no atomic
+/// block, and a fork of a thread that already ran.
+const char *const JoinUnseenThread = "T0: join T5\nT0: o1.get(0)/nil\n";
+const char *const UnmatchedTxEnd = "T0: txend\nT0: o1.get(0)/nil\n";
+const char *const ForkStartedThread =
+    "T1: o1.get(0)/nil\nT0: fork T1\nT1: o1.get(0)/nil\n";
 
 /// Runs one session to completion on the calling thread, mimicking the
 /// server's claim/release scheduling handshake.
@@ -327,6 +349,22 @@ TEST(ServeTest, MalformedChunkKillsOnlyTheOffendingSession) {
     return S;
   };
   EXPECT_EQ(Normalize(GoodReply), Normalize(Baseline));
+}
+
+TEST(ServeTest, UnmatchedTxEndKillsNoSession) {
+  // An atomicity session whose trace closes a block it never opened must
+  // not take the daemon (and every other session) down with it.
+  TestTrace Bad(64, parseText(UnmatchedTxEnd)), Torn(64, tornCommitTrace());
+  Daemon D;
+  const ModeCase Atomicity{"atomicity", nullptr};
+  EXPECT_EQ(runCli(clientArgs(D, Bad, Atomicity)),
+            runCli(checkArgs(Bad, Atomicity)));
+  auto [CheckExit, CheckOut] = runCli(checkArgs(Torn, Atomicity));
+  auto [ServeExit, ServeOut] = runCli(clientArgs(D, Torn, Atomicity));
+  EXPECT_EQ(ServeOut, CheckOut);
+  EXPECT_EQ(ServeExit, CheckExit);
+  EXPECT_NE(ServeOut.find("atomicity violations: 1"), std::string::npos)
+      << ServeOut;
 }
 
 TEST(ServeTest, DieNoticesAreCountedAndKeepFindingsIdentical) {
@@ -569,6 +607,82 @@ TEST(ServeTest, DrainDeliversSummariesToOpenSessions) {
   EXPECT_NE(Reply.find("\"type\":\"summary\""), std::string::npos) << Reply;
   // run() must return on its own once the drained session flushes.
   D.joinAfterDrain();
+}
+
+//===----------------------------------------------------------------------===//
+// Malformed traces through the crd binary
+//===----------------------------------------------------------------------===//
+
+/// Runs the crd binary with \p Args in a child process, its stdout
+/// discarded and its stderr returned in \p Err, and returns the wait
+/// status. A child still running after 30 s is killed: a hang fails the
+/// test like a crash does.
+int runCrdProcess(const std::vector<std::string> &Args, std::string &Err) {
+  int Pipe[2];
+  if (::pipe(Pipe) != 0)
+    return -1;
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    ::dup2(Null, STDOUT_FILENO);
+    ::dup2(Pipe[1], STDERR_FILENO);
+    ::close(Pipe[0]);
+    std::vector<char *> Argv{const_cast<char *>(CRD_BINARY)};
+    for (const std::string &A : Args)
+      Argv.push_back(const_cast<char *>(A.c_str()));
+    Argv.push_back(nullptr);
+    ::execv(CRD_BINARY, Argv.data());
+    ::_exit(127);
+  }
+  ::close(Pipe[1]);
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  char Buf[4096];
+  for (;;) {
+    int LeftMs = static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Deadline - std::chrono::steady_clock::now())
+            .count());
+    pollfd P{Pipe[0], POLLIN, 0};
+    if (LeftMs <= 0 || ::poll(&P, 1, LeftMs) <= 0) {
+      ::kill(Pid, SIGKILL);
+      Err += "\n(killed after 30 s)";
+      break;
+    }
+    ssize_t R = ::read(Pipe[0], Buf, sizeof(Buf));
+    if (R <= 0)
+      break;
+    Err.append(Buf, static_cast<size_t>(R));
+  }
+  ::close(Pipe[0]);
+  int Status = 0;
+  ::waitpid(Pid, &Status, 0);
+  return Status;
+}
+
+TEST(MalformedInputTest, CheckExitsOnEveryDetectorAndFormat) {
+  // Each input once as text and once as a wire file; every detector must
+  // report and exit 0 or 1 — not die on a signal, hang, or (in sanitized
+  // builds) trip a sanitizer.
+  for (const char *Text :
+       {JoinUnseenThread, UnmatchedTxEnd, ForkStartedThread}) {
+    TestTrace Wire(64, parseText(Text));
+    std::string TextPath = Wire.Path + ".trace";
+    std::ofstream(TextPath) << Text;
+    for (const std::string &Path : {TextPath, Wire.Path})
+      for (const char *Detector : {"seq", "fasttrack", "atomicity"}) {
+        std::string Err;
+        int Status = runCrdProcess(
+            {"check", std::string("--detector=") + Detector, Path}, Err);
+        SCOPED_TRACE(::testing::Message()
+                     << Detector << " on " << Path << ":\n"
+                     << Err);
+        EXPECT_TRUE(WIFEXITED(Status)) << "status " << Status;
+        EXPECT_LE(WEXITSTATUS(Status), 1);
+        EXPECT_EQ(Err.find("Sanitizer"), std::string::npos);
+        EXPECT_EQ(Err.find("runtime error"), std::string::npos);
+      }
+    ::unlink(TextPath.c_str());
+  }
 }
 
 } // namespace

@@ -11,19 +11,25 @@
 /// memo chunk API) and scanWire over the result. The
 /// decoder must always terminate with either a clean stream or a
 /// diagnostic — never crash, hang, or trip UB (run under the asan preset;
-/// this target is also registered as `wire-fuzz`). Single-bit flips inside
-/// payloads long enough to reach the CRC fold must each be caught by the
-/// chunk CRC.
+/// this target is also registered as `wire-fuzz`). Every chunk-API pull,
+/// failed ones included, must leave a batch whose columns agree. Single-bit
+/// flips inside payloads long enough to reach the CRC fold must each be
+/// caught by the chunk CRC; damage behind a resealed CRC and digest must
+/// be caught by the decoder itself.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/Hashing.h"
+#include "wire/Crc32.h"
 #include "wire/EventSource.h"
+#include "wire/Varint.h"
 #include "wire/WireReader.h"
 #include "wire/WireWriter.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 
@@ -38,6 +44,23 @@ std::string encodeWire(const Trace &T, size_t EventsPerChunk) {
   Writer.writeTrace(T);
   Writer.finish();
   return OS.str();
+}
+
+/// A pulled batch's columns agree: one thread and one operand per kind
+/// byte, one invoke record per invoke kind byte, and a value column that
+/// ends where the last record's values end.
+void expectColumnsAgree(const EventBatch &B) {
+  EXPECT_EQ(B.Threads.size(), B.Kinds.size());
+  EXPECT_EQ(B.Operands.size(), B.Kinds.size());
+  EXPECT_EQ(B.Invokes.size(),
+            static_cast<size_t>(std::count(
+                B.Kinds.begin(), B.Kinds.end(),
+                static_cast<uint8_t>(EventKind::Invoke))));
+  size_t ValuesEnd = 0;
+  if (!B.Invokes.empty())
+    ValuesEnd = B.Invokes.back().FirstValue + B.Invokes.back().NArgs +
+                B.Invokes.back().NRets;
+  EXPECT_EQ(B.Values.size(), ValuesEnd);
 }
 
 /// Decodes \p Bytes to exhaustion. The assertions here are intentionally
@@ -75,6 +98,7 @@ void mustSurvive(const std::string &Bytes, size_t *Skipped = nullptr) {
       } else {
         B.clear();
         Reader.finishChunkInto(B);
+        expectColumnsAgree(B);
       }
     }
     if (Reader.failed()) {
@@ -203,6 +227,86 @@ TEST(WireFuzzTest, SeededRandomMutations) {
       mustSurvive(M);
     }
   }
+}
+
+namespace {
+
+/// Offsets of the event bytes (past the chunk's event count and symbol
+/// table) of every chunk in the digest-carrying file \p Bytes, as
+/// [begin, end) pairs.
+std::vector<std::pair<size_t, size_t>>
+eventByteRanges(const std::string &Bytes) {
+  std::vector<std::pair<size_t, size_t>> Ranges;
+  for (size_t At = FileHeaderSize;
+       At + DigestChunkHeaderSize <= Bytes.size();) {
+    uint32_t Size = 0;
+    for (int I = 0; I != 4; ++I)
+      Size |= uint32_t(static_cast<uint8_t>(Bytes[At + I])) << (8 * I);
+    size_t Payload = At + DigestChunkHeaderSize;
+    ByteReader R(reinterpret_cast<const uint8_t *>(Bytes.data()) + Payload,
+                 Size);
+    R.varint();
+    for (uint64_t N = R.varint().value_or(0); N; --N)
+      R.bytes(static_cast<size_t>(R.varint().value_or(0)));
+    Ranges.push_back({Payload + R.offset(), Payload + Size});
+    At = Payload + Size;
+  }
+  return Ranges;
+}
+
+/// Rewrites the CRC and digest of the chunk whose event bytes are \p Range
+/// so that they match its (possibly damaged) payload again.
+void reseal(std::string &Bytes, std::pair<size_t, size_t> Range) {
+  size_t Header = 0, Payload = 0;
+  for (size_t At = FileHeaderSize;;) {
+    uint32_t Size = 0;
+    for (int I = 0; I != 4; ++I)
+      Size |= uint32_t(static_cast<uint8_t>(Bytes[At + I])) << (8 * I);
+    Header = At;
+    Payload = At + DigestChunkHeaderSize;
+    if (Payload + Size == Range.second)
+      break;
+    At = Payload + Size;
+  }
+  uint32_t Crc = crc32(Bytes.data() + Payload, Range.second - Payload);
+  uint64_t Digest =
+      hashBytes64(Bytes.data() + Range.first, Range.second - Range.first);
+  for (int I = 0; I != 4; ++I)
+    Bytes[Header + 4 + I] = static_cast<char>(Crc >> (8 * I));
+  for (int I = 0; I != 8; ++I)
+    Bytes[Header + 8 + I] = static_cast<char>(Digest >> (8 * I));
+}
+
+} // namespace
+
+TEST(WireFuzzTest, ResealedEventDamageReachesTheDecoder) {
+  // The CRC and digest are rewritten after the damage, so only the event
+  // decoder stands between the bytes and the batch: it must stop on the
+  // first malformed event and leave only the whole events before it.
+  std::mt19937 Rng(0x5EA1u);
+  std::string Base = encodeWire(testgen::randomTrace(3, 3, 30, 5), 16);
+  std::vector<std::pair<size_t, size_t>> Ranges = eventByteRanges(Base);
+  ASSERT_GT(Ranges.size(), 2u);
+  size_t DecoderFailures = 0;
+  for (int Round = 0; Round != 400; ++Round) {
+    std::string M = Base;
+    std::pair<size_t, size_t> Range = Ranges[Rng() % Ranges.size()];
+    for (unsigned N = 1 + Rng() % 3; N; --N)
+      M[Range.first + Rng() % (Range.second - Range.first)] =
+          static_cast<char>(Rng());
+    reseal(M, Range);
+    mustSurvive(M);
+    std::istringstream In(M);
+    DiagnosticEngine Diags;
+    WireReader Reader(In, Diags);
+    EventBatch B;
+    while (Reader.nextBatch(B, PullBatchEvents))
+      expectColumnsAgree(B);
+    expectColumnsAgree(B);
+    EXPECT_EQ(Reader.stats().CrcErrors + Reader.stats().DigestErrors, 0u);
+    DecoderFailures += Reader.failed();
+  }
+  EXPECT_GT(DecoderFailures, 300u);
 }
 
 TEST(WireFuzzTest, PureGarbageStreams) {

@@ -21,7 +21,9 @@
 ///   * the paper's H2 circuit reports the same pinned races through the
 ///     binary stream and through text parsing;
 ///   * the seeded stress trace (StressTrace.h) is well-formed, hands locks
-///     across threads, races, and encodes to the same bytes every time.
+///     across threads, races, and encodes to the same bytes every time;
+///   * a pulled batch of it takes less memory than an array of as many
+///     Events would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,7 +112,8 @@ void expectRoundTrip(const Trace &T, size_t EventsPerChunk) {
 }
 
 /// A trace exercising every event kind and every value shape: escapes,
-/// multi-return values, nil/bool, negative ints, id jumps (delta stress).
+/// multi-return values, nil/bool, negative ints, id jumps (delta stress),
+/// and an action wider than Action's inline storage.
 Trace awkwardTrace() {
   Trace T;
   T.append(Event::fork(ThreadId(0), ThreadId(7)));
@@ -127,6 +130,14 @@ Trace awkwardTrace() {
                           {Value::boolean(false), Value::nil(),
                            Value::string(""), Value::string("a\"b\\c\nd\te")},
                           std::vector<Value>{})));
+  T.append(Event::invoke(
+      ThreadId(0),
+      Action(ObjectId(41), symbol("wide"),
+             {Value::integer(1), Value::string("x"), Value::nil(),
+              Value::boolean(true), Value::integer(-5)},
+             std::vector<Value>{Value::string("a\"b\\c\nd\te"),
+                                Value::integer(INT64_MAX),
+                                Value::boolean(false), Value::nil()})));
   T.append(Event::acquire(ThreadId(7), LockId(5)));
   T.append(Event::read(ThreadId(7), VarId(123456)));
   T.append(Event::write(ThreadId(7), VarId(0)));
@@ -364,7 +375,8 @@ TEST(WireErrorTest, RejectsUnknownVersion) {
 }
 
 TEST(WireErrorTest, RejectsEveryTruncationPoint) {
-  std::string Bytes = encode(awkwardTrace(), 3);
+  Trace T = awkwardTrace();
+  std::string Bytes = encode(T, 3);
   for (size_t Cut = 0; Cut != Bytes.size(); ++Cut) {
     std::istringstream In(Bytes.substr(0, Cut));
     DiagnosticEngine Diags;
@@ -378,7 +390,7 @@ TEST(WireErrorTest, RejectsEveryTruncationPoint) {
     if (Source.failed()) {
       EXPECT_TRUE(Diags.hasErrors()) << "cut at " << Cut;
     }
-    EXPECT_LE(Decoded, 12u) << "cut at " << Cut;
+    EXPECT_LE(Decoded, T.size()) << "cut at " << Cut;
   }
 }
 
@@ -602,6 +614,25 @@ TEST(StressTraceTest, WellFormedRacyAndReproducible) {
     EXPECT_EQ(S.Events, T.size());
     EXPECT_GT(S.Races, 0u);
   }
+}
+
+// A pulled batch stores columns, not Events: each full pull of the
+// stress trace (70% three-value puts) must take less memory than the
+// event array alone of a batch of whole Events.
+TEST(StressTraceTest, PulledBatchesStayUnderAnEventArray) {
+  std::string Bytes = testgen::stressWire(testgen::StressSeed, 4, 25000);
+  std::istringstream In(Bytes);
+  DiagnosticEngine Diags;
+  WireReader Reader(In, Diags);
+  EventBatch B;
+  size_t Pulls = 0;
+  for (; Reader.nextBatch(B, PullBatchEvents); B.clear()) {
+    ++Pulls;
+    EXPECT_LT(B.memoryFootprint(), PullBatchEvents * sizeof(Event))
+        << "pull " << Pulls;
+  }
+  EXPECT_FALSE(Reader.failed()) << Diags.toString();
+  EXPECT_EQ(Pulls, (100000 + PullBatchEvents - 1) / PullBatchEvents);
 }
 
 //===----------------------------------------------------------------------===//

@@ -64,7 +64,7 @@ const char ServeHelp[] =
     "                       input; a full buffer stops reading the socket\n"
     "                       (default 8388608)\n"
     "  --session-cap=BYTES  per-session footprint ceiling: buffers +\n"
-    "                       decode arenas + memo payload store (default\n"
+    "                       the pull batch + memo payload store (default\n"
     "                       0 = unlimited); sessions over it are killed\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
