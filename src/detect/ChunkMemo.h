@@ -14,7 +14,7 @@
 /// to the chunk start) and its counter deltas — together with the exact
 /// entry-state footprint the interpretation depended on:
 ///
-///   - the engine's provider-configuration stamp (bindings decide which
+///   - the detector's provider-configuration stamp (bindings decide which
 ///     access points an action touches),
 ///   - the version stamp of every thread whose events appear in the chunk
 ///     (the clock an action is stamped with), and
@@ -38,7 +38,7 @@
 ///      but not once the lock gains a clock — no version stamp covers
 ///      "absent lock", so the rule is categorical.
 ///   3. The chunk must have been a state no-op when recorded: the
-///      VectorClockState and engine mutation stamps are compared across
+///      VectorClockState and detector mutation stamps are compared across
 ///      the interpretation. This makes footprint collection safe *after*
 ///      the fact — entry versions equal exit versions by construction.
 ///
@@ -67,7 +67,7 @@ struct ChunkSummary {
   /// carries no footprint and is never replayed.
   bool Memoizable = false;
 
-  /// Engine configuration stamp at record time; replay requires equality.
+  /// Detector configuration stamp at record time; replay requires equality.
   uint64_t ConfigStamp = 0;
 
   /// Entry versions of every thread with an event in the chunk.
@@ -86,7 +86,7 @@ struct ChunkSummary {
 
   /// Number of events in the chunk (stream-position advance on replay).
   uint64_t Events = 0;
-  /// Number of invoke events (engine action count delta).
+  /// Number of invoke events (detector action count delta).
   uint64_t Invokes = 0;
   /// Memory (read/write) and transaction-marker event counts, so replay
   /// keeps the pipeline's per-kind ingress tally exact. Sync is zero by

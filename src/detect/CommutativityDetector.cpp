@@ -15,8 +15,8 @@ using namespace crd;
 void CommutativityRaceDetector::process(const Event &E) {
   ++EventIndex;
   if (E.isInvoke())
-    Engine.onAction(E.action(), E.thread(), VCState.clockOf(E.thread()),
-                    EventIndex - 1);
+    onActionResolved(E.action(), E.thread(), VCState.clockOf(E.thread()),
+                     EventIndex - 1, stateFor(E.action().object()));
   VCState.process(E);
 }
 
@@ -46,8 +46,8 @@ void CommutativityRaceDetector::processBatch(const EventBatch &B) {
   auto FlushRun = [&] {
     if (InvokeScratch.empty())
       return;
-    Engine.onRun(B, InvokeScratch.data(), InvokeScratch.size(), RunRecord,
-                 EventIndex, Resolve);
+    onRun(B, InvokeScratch.data(), InvokeScratch.size(), RunRecord,
+          EventIndex, Resolve);
     RunRecord += InvokeScratch.size();
     InvokeScratch.clear();
   };
@@ -82,8 +82,7 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
   // the interpretation must have been a state no-op, otherwise the entry
   // versions collected below (which are *exit* versions) would not
   // describe the state the summary depends on.
-  if (VCState.mutationStamp() != Token.VCStamp ||
-      Engine.mutationStamp() != Token.EngineStamp)
+  if (VCState.mutationStamp() != Token.VCStamp || MutStamp != Token.MutStamp)
     return false;
   for (size_t I = From, E = From + N; I != E; ++I)
     if (B.Kinds[I] < SyncKindBound)
@@ -92,14 +91,14 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
   // State no-op ⇒ entry versions == current versions: the footprint can
   // be collected after the fact by scanning the chunk's events.
   std::vector<ThreadId> Threads;
-  std::vector<ObjectId> Objects;
+  std::vector<ObjectId> Invoked;
   uint64_t Invokes = 0, Mem = 0, Tx = 0;
   for (size_t I = From, E = From + N; I != E; ++I) {
     Threads.push_back(B.Threads[I]);
     auto Kind = static_cast<EventKind>(B.Kinds[I]);
     if (Kind == EventKind::Invoke) {
       ++Invokes;
-      Objects.push_back(ObjectId(B.Operands[I]));
+      Invoked.push_back(ObjectId(B.Operands[I]));
     } else if (Kind == EventKind::Read || Kind == EventKind::Write) {
       ++Mem;
     } else {
@@ -108,18 +107,17 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
   }
   std::sort(Threads.begin(), Threads.end());
   Threads.erase(std::unique(Threads.begin(), Threads.end()), Threads.end());
-  std::sort(Objects.begin(), Objects.end());
-  Objects.erase(std::unique(Objects.begin(), Objects.end()), Objects.end());
+  std::sort(Invoked.begin(), Invoked.end());
+  Invoked.erase(std::unique(Invoked.begin(), Invoked.end()), Invoked.end());
 
-  Out.ConfigStamp = Engine.configStamp();
+  Out.ConfigStamp = ConfigStamp;
   Out.ThreadVersions.reserve(Threads.size());
   for (ThreadId T : Threads)
     Out.ThreadVersions.emplace_back(T, VCState.threadVersion(T));
-  Out.ObjectVersions.reserve(Objects.size());
-  for (ObjectId O : Objects)
-    Out.ObjectVersions.emplace_back(O, Engine.objectVersion(O));
+  Out.ObjectVersions.reserve(Invoked.size());
+  for (ObjectId O : Invoked)
+    Out.ObjectVersions.emplace_back(O, objectVersion(O));
 
-  const std::vector<CommutativityRace> &Races = Engine.races();
   for (size_t I = Token.BaseRaces, E = Races.size(); I != E; ++I) {
     const CommutativityRace &R = Races[I];
     Out.Races.emplace_back(
@@ -128,26 +126,27 @@ bool CommutativityRaceDetector::finishMemoRecord(const MemoRecordToken &Token,
   Out.Invokes = Invokes;
   Out.MemEvents = Mem;
   Out.TxEvents = Tx;
-  Out.ConflictChecks = Engine.conflictChecks() - Token.BaseConflictChecks;
+  Out.ConflictChecks = ConflictChecks - Token.BaseConflictChecks;
   Out.Memoizable = true;
   return true;
 }
 
 bool CommutativityRaceDetector::tryReplayChunk(const ChunkSummary &S) {
-  if (!S.Memoizable || Engine.configStamp() != S.ConfigStamp)
+  if (!S.Memoizable || ConfigStamp != S.ConfigStamp)
     return false;
   for (const auto &[Thread, Version] : S.ThreadVersions)
     if (VCState.threadVersion(Thread) != Version)
       return false;
   for (const auto &[Obj, Version] : S.ObjectVersions)
-    if (Engine.objectVersion(Obj) != Version)
+    if (objectVersion(Obj) != Version)
       return false;
   for (const auto &[Rel, Race] : S.Races) {
-    CommutativityRace Rebased = Race;
-    Rebased.EventIndex = EventIndex + Rel;
-    Engine.replayRace(Rebased);
+    Races.emplace_back(Race).EventIndex = EventIndex + Rel;
+    RacyObjects.insert(Race.Current.object());
   }
-  Engine.addReplayStats(S.ConflictChecks, S.Invokes);
+  RaceCount += S.Races.size();
+  ConflictChecks += S.ConflictChecks;
+  ActionsSeen += S.Invokes;
   EventIndex += S.Events;
   return true;
 }

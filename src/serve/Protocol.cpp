@@ -121,6 +121,20 @@ void serve::appendFrameHeader(std::string &Out, FrameType T,
     Out.push_back(static_cast<char>((BodySize >> (8 * I)) & 0xff));
 }
 
+std::string serve::errorLine(std::string_view Reason,
+                             std::optional<uint64_t> Session) {
+  std::string Line = "{\"type\":\"error\",";
+  if (Session) {
+    Line += "\"session\":";
+    Line += std::to_string(*Session);
+    Line += ',';
+  }
+  Line += "\"reason\":\"";
+  appendJsonEscaped(Line, Reason);
+  Line += "\"}";
+  return Line;
+}
+
 void serve::escapeJsonFrom(std::string &Out, size_t From) {
   auto It = std::find_if(Out.begin() + From, Out.end(), [](char C) {
     return C == '"' || C == '\\' || static_cast<unsigned char>(C) < 0x20;

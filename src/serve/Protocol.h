@@ -84,6 +84,12 @@ std::string renderHandshake(const Handshake &H);
 /// Appends a frame header for a \p BodySize-byte body of type \p T.
 void appendFrameHeader(std::string &Out, FrameType T, uint32_t BodySize);
 
+/// The `error` reply line (no trailing newline) for \p Reason, naming
+/// the session when there is one; a connection refused before it had a
+/// session gets the line without a session id.
+std::string errorLine(std::string_view Reason,
+                      std::optional<uint64_t> Session = std::nullopt);
+
 /// JSON-escapes \p Out's tail from byte \p From in place: text rendered
 /// straight into a reply line is escaped only when it holds a character
 /// JSON must escape.

@@ -195,9 +195,9 @@ void Server::acceptReady() {
       return; // EAGAIN (or a transient error): nothing more to accept.
     setNonBlocking(Fd);
     if (Opts.MaxSessions && Conns.size() >= Opts.MaxSessions) {
-      std::string Line =
-          "{\"type\":\"error\",\"reason\":\"server at session capacity (" +
-          std::to_string(Opts.MaxSessions) + ")\"}\n";
+      std::string Line = errorLine("server at session capacity (" +
+                                   std::to_string(Opts.MaxSessions) + ")") +
+                         '\n';
       [[maybe_unused]] ssize_t N = ::write(Fd, Line.data(), Line.size());
       ::close(Fd);
       std::lock_guard<std::mutex> Lock(StatsMu);

@@ -67,12 +67,8 @@ void Session::killWithError(std::string_view Reason) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (DoneFlag)
     return;
-  std::string Line = "{\"type\":\"error\",\"session\":";
-  Line += std::to_string(Id);
-  Line += ",\"reason\":\"";
-  appendJsonEscaped(Line, Reason);
-  Line += "\"}\n";
-  OutBuf += Line;
+  OutBuf += errorLine(Reason, Id);
+  OutBuf += '\n';
   DoneFlag = true;
 }
 
@@ -190,12 +186,7 @@ void Session::emitViolationLine(const AtomicityViolation &V) {
 void Session::failSession(std::string_view Reason) {
   if (St == State::Done)
     return;
-  std::string Line = "{\"type\":\"error\",\"session\":";
-  Line += std::to_string(Id);
-  Line += ",\"reason\":\"";
-  appendJsonEscaped(Line, Reason);
-  Line += "\"}";
-  emitLine(std::move(Line));
+  emitLine(errorLine(Reason, Id));
   St = State::Done;
   std::lock_guard<std::mutex> Lock(Mu);
   DoneFlag = true;

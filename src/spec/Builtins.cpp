@@ -6,159 +6,56 @@
 
 #include "spec/Builtins.h"
 
+#include "BuiltinSpecs.h"
+#include "spec/SpecParser.h"
+
+#include <cstdio>
+#include <cstdlib>
+
 using namespace crd;
 
 namespace {
 
-Term x(uint32_t Pos) { return Term::var(Side::First, Pos); }
-Term y(uint32_t Pos) { return Term::var(Side::Second, Pos); }
-Term nilConst() { return Term::constant(Value::nil()); }
-Term falseConst() { return Term::constant(Value::boolean(false)); }
-
-FormulaPtr eq(Term A, Term B) { return Formula::atom(PredKind::Eq, A, B); }
-FormulaPtr ne(Term A, Term B) { return Formula::atom(PredKind::Ne, A, B); }
-
-ObjectSpec buildDictionary() {
-  ObjectSpec Spec("dictionary");
-  uint32_t Put = Spec.addMethod({symbol("put"), 2, 1});  // put(k,v)/p
-  uint32_t Get = Spec.addMethod({symbol("get"), 1, 1});  // get(k)/v
-  uint32_t Size = Spec.addMethod({symbol("size"), 0, 1}); // size()/r
-
-  // ϕ(put,put) = k1 ≠ k2 ∨ (v1 = p1 ∧ v2 = p2).
-  Spec.setCommutes(Put, Put,
-                   Formula::orOf(ne(x(0), y(0)),
-                                 Formula::andOf(eq(x(1), x(2)),
-                                                eq(y(1), y(2)))));
-  // ϕ(put,get) = k1 ≠ k2 ∨ v1 = p1.
-  Spec.setCommutes(Put, Get,
-                   Formula::orOf(ne(x(0), y(0)), eq(x(1), x(2))));
-  // ϕ(put,size) = (v1 = nil ∧ p1 = nil) ∨ (v1 ≠ nil ∧ p1 ≠ nil).
-  Spec.setCommutes(
-      Put, Size,
-      Formula::orOf(
-          Formula::andOf(eq(x(1), nilConst()), eq(x(2), nilConst())),
-          Formula::andOf(ne(x(1), nilConst()), ne(x(2), nilConst()))));
-  Spec.setCommutes(Get, Get, Formula::truth(true));
-  Spec.setCommutes(Get, Size, Formula::truth(true));
-  Spec.setCommutes(Size, Size, Formula::truth(true));
-  return Spec;
-}
-
-ObjectSpec buildSet() {
-  ObjectSpec Spec("set");
-  uint32_t Add = Spec.addMethod({symbol("add"), 1, 1});       // add(k)/c
-  uint32_t Remove = Spec.addMethod({symbol("remove"), 1, 1}); // remove(k)/c
-  uint32_t Contains = Spec.addMethod({symbol("contains"), 1, 1});
-  uint32_t Size = Spec.addMethod({symbol("size"), 0, 1});
-
-  // Two mutators commute when they touch different keys or neither changed
-  // the set.
-  FormulaPtr MutMut =
-      Formula::orOf(ne(x(0), y(0)),
-                    Formula::andOf(eq(x(1), falseConst()),
-                                   eq(y(1), falseConst())));
-  Spec.setCommutes(Add, Add, MutMut);
-  Spec.setCommutes(Add, Remove, MutMut);
-  Spec.setCommutes(Remove, Remove, MutMut);
-
-  // A mutator commutes with contains on another key, or when it did not
-  // change the set.
-  FormulaPtr MutObs =
-      Formula::orOf(ne(x(0), y(0)), eq(x(1), falseConst()));
-  Spec.setCommutes(Add, Contains, MutObs);
-  Spec.setCommutes(Remove, Contains, MutObs);
-
-  // A mutator commutes with size iff it did not change the set.
-  Spec.setCommutes(Add, Size, eq(x(1), falseConst()));
-  Spec.setCommutes(Remove, Size, eq(x(1), falseConst()));
-
-  Spec.setCommutes(Contains, Contains, Formula::truth(true));
-  Spec.setCommutes(Contains, Size, Formula::truth(true));
-  Spec.setCommutes(Size, Size, Formula::truth(true));
-  return Spec;
-}
-
-ObjectSpec buildCounter() {
-  ObjectSpec Spec("counter");
-  uint32_t Inc = Spec.addMethod({symbol("inc"), 0, 0});
-  uint32_t Dec = Spec.addMethod({symbol("dec"), 0, 0});
-  uint32_t Read = Spec.addMethod({symbol("read"), 0, 1});
-
-  Spec.setCommutes(Inc, Inc, Formula::truth(true));
-  Spec.setCommutes(Inc, Dec, Formula::truth(true));
-  Spec.setCommutes(Dec, Dec, Formula::truth(true));
-  Spec.setCommutes(Inc, Read, Formula::truth(false));
-  Spec.setCommutes(Dec, Read, Formula::truth(false));
-  Spec.setCommutes(Read, Read, Formula::truth(true));
-  return Spec;
-}
-
-ObjectSpec buildRegister() {
-  ObjectSpec Spec("register");
-  uint32_t Write = Spec.addMethod({symbol("write"), 1, 1}); // write(v)/p
-  uint32_t Read = Spec.addMethod({symbol("read"), 0, 1});   // read()/v
-
-  // Both writes must be no-ops.
-  Spec.setCommutes(Write, Write,
-                   Formula::andOf(eq(x(0), x(1)), eq(y(0), y(1))));
-  // The write must be a no-op.
-  Spec.setCommutes(Write, Read, eq(x(0), x(1)));
-  Spec.setCommutes(Read, Read, Formula::truth(true));
-  return Spec;
-}
-
-ObjectSpec buildQueue() {
-  ObjectSpec Spec("queue");
-  uint32_t Enq = Spec.addMethod({symbol("enq"), 1, 1});  // enq(v)/wasEmpty
-  uint32_t Deq = Spec.addMethod({symbol("deq"), 0, 2});  // deq()/v/ok
-  uint32_t Peek = Spec.addMethod({symbol("peek"), 0, 2}); // peek()/v/ok
-
-  // Two enqueues fix the FIFO order between their elements: never commute.
-  Spec.setCommutes(Enq, Enq, Formula::truth(false));
-  // enq/deq: with Definition 3.1's strict effect equality they only
-  // commute vacuously — when the enqueue hit a non-empty queue and the
-  // dequeue hit an empty one, the two composition orders are both
-  // nowhere-defined. (The tempting "deq succeeded" condition is unsound
-  // for singleton queues, where the dequeue drains what the enqueue saw.)
-  Spec.setCommutes(Enq, Deq,
-                   Formula::andOf(eq(x(1), falseConst()),
-                                  eq(y(1), falseConst())));
-  // enq/peek: peeking does not observe the tail, so an enqueue onto a
-  // non-empty queue commutes with any peek (successful or vacuous).
-  Spec.setCommutes(Enq, Peek, eq(x(1), falseConst()));
-  // Two dequeues commute only when both failed (identity on the empty
-  // queue); a failed dequeue also commutes with any peek vacuously.
-  Spec.setCommutes(Deq, Deq,
-                   Formula::andOf(eq(x(1), falseConst()),
-                                  eq(y(1), falseConst())));
-  Spec.setCommutes(Deq, Peek, eq(x(1), falseConst()));
-  Spec.setCommutes(Peek, Peek, Formula::truth(true));
-  return Spec;
+/// Parses the builtin spec compiled in from specs/\p File. The files are
+/// part of the build, so one that does not parse is fatal.
+ObjectSpec parseBuiltin(const char *File, const char *Text) {
+  DiagnosticEngine Diags;
+  std::optional<ObjectSpec> Spec = parseObjectSpec(Text, Diags);
+  if (!Spec) {
+    std::fprintf(stderr, "fatal: builtin spec specs/%s does not parse:\n%s",
+                 File, Diags.toString().c_str());
+    std::abort();
+  }
+  return std::move(*Spec);
 }
 
 } // namespace
 
 const ObjectSpec &crd::dictionarySpec() {
-  static const ObjectSpec Spec = buildDictionary();
+  static const ObjectSpec Spec =
+      parseBuiltin("dictionary.spec", builtin_specs::dictionaryText);
   return Spec;
 }
 
 const ObjectSpec &crd::setSpec() {
-  static const ObjectSpec Spec = buildSet();
+  static const ObjectSpec Spec = parseBuiltin("set.spec", builtin_specs::setText);
   return Spec;
 }
 
 const ObjectSpec &crd::counterSpec() {
-  static const ObjectSpec Spec = buildCounter();
+  static const ObjectSpec Spec =
+      parseBuiltin("counter.spec", builtin_specs::counterText);
   return Spec;
 }
 
 const ObjectSpec &crd::registerSpec() {
-  static const ObjectSpec Spec = buildRegister();
+  static const ObjectSpec Spec =
+      parseBuiltin("register.spec", builtin_specs::registerText);
   return Spec;
 }
 
 const ObjectSpec &crd::queueSpec() {
-  static const ObjectSpec Spec = buildQueue();
+  static const ObjectSpec Spec =
+      parseBuiltin("queue.spec", builtin_specs::queueText);
   return Spec;
 }

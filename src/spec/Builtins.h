@@ -6,9 +6,12 @@
 ///
 /// \file
 /// Ready-made ECL commutativity specifications for common abstract data
-/// types. dictionarySpec() is exactly Fig 6 of the paper; the others follow
-/// the same style (the paper names sets as a motivating example ECL covers
-/// but SIMPLE does not).
+/// types. Each builtin is the shipped file specs/<name>.spec, compiled in
+/// by src/spec/CMakeLists.txt and parsed once on first use, so `--spec
+/// specs/<name>.spec` and the builtin are one definition.
+/// dictionarySpec() is exactly Fig 6 of the paper; the others follow the
+/// same style (the paper names sets as a motivating example ECL covers but
+/// SIMPLE does not).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +51,12 @@ const ObjectSpec &counterSpec();
 /// uses the shadow return.
 const ObjectSpec &registerSpec();
 
-/// A FIFO queue with enq(v)/wasEmpty and deq()/v/ok (ok=false means the
-/// queue was empty and v is nil). Two enqueues never commute (they fix the
-/// order); dequeues commute only when both failed; an enqueue commutes
-/// with a *successful* dequeue on a non-singleton queue — approximated
-/// soundly in ECL by requiring the enqueue to have hit a non-empty queue
-/// (wasEmpty = false) and the dequeue to have succeeded.
+/// A FIFO queue with enq(v)/wasEmpty, deq()/v/ok and peek()/v/ok (ok=false
+/// means the queue was empty and v is nil). Two enqueues never commute
+/// (they fix the order); dequeues commute only when both failed; an
+/// enqueue commutes with a dequeue only vacuously (the enqueue hit a
+/// non-empty queue and the dequeue failed), and with any peek when it hit
+/// a non-empty queue.
 const ObjectSpec &queueSpec();
 
 } // namespace crd

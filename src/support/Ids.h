@@ -56,6 +56,12 @@ public:
   constexpr explicit ThreadId(uint32_t Index) : IdBase(Index) {}
 };
 
+/// Thread ids index dense per-thread tables (vector clocks and their race
+/// snapshots), so trace input keeps them below this bound, where those
+/// tables cost a few MB. Both trace decoders reject larger ids, for an
+/// event's thread and for a fork or join target.
+inline constexpr uint32_t ThreadIdLimit = 1u << 16;
+
 /// Identifies a shared object (e.g. one ConcurrentHashMap instance).
 class ObjectId : public IdBase<ObjectId> {
 public:

@@ -260,6 +260,22 @@ private:
     return Index;
   }
 
+  /// Parses a thread id like T1 (\p What names the expected form),
+  /// rejecting ids at or above ThreadIdLimit.
+  std::optional<ThreadId> parseThreadId(const char *What) {
+    SourceLocation Loc = Tok.Loc;
+    auto Index = parsePrefixedId('T', What);
+    if (!Index)
+      return std::nullopt;
+    if (*Index >= ThreadIdLimit) {
+      Diags.error(Loc, "thread id T" + std::to_string(*Index) +
+                           " out of range: thread ids must be below " +
+                           std::to_string(ThreadIdLimit));
+      return std::nullopt;
+    }
+    return ThreadId(*Index);
+  }
+
   std::optional<Value> parseValue() {
     switch (Tok.Kind) {
     case TokKind::Integer: {
@@ -294,10 +310,10 @@ private:
   }
 
   std::optional<Event> parseLine() {
-    auto Thread = parsePrefixedId('T', "thread id like T1");
+    auto Thread = parseThreadId("thread id like T1");
     if (!Thread)
       return std::nullopt;
-    ThreadId Self(*Thread);
+    ThreadId Self = *Thread;
     if (!expect(TokKind::Colon, "':' after thread id"))
       return std::nullopt;
 
@@ -309,11 +325,11 @@ private:
     std::string_view Keyword = Tok.Text;
     if (Keyword == "fork" || Keyword == "join") {
       consume();
-      auto Target = parsePrefixedId('T', "thread id like T2");
+      auto Target = parseThreadId("thread id like T2");
       if (!Target)
         return std::nullopt;
-      return Keyword == "fork" ? Event::fork(Self, ThreadId(*Target))
-                               : Event::join(Self, ThreadId(*Target));
+      return Keyword == "fork" ? Event::fork(Self, *Target)
+                               : Event::join(Self, *Target);
     }
     if (Keyword == "acq" || Keyword == "rel") {
       consume();

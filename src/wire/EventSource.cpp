@@ -73,18 +73,7 @@ bool wire::isWireFile(const std::string &Path) {
 
 std::unique_ptr<EventSource> wire::openEventSource(const std::string &Path,
                                                    DiagnosticEngine &Diags) {
-  std::ifstream Probe(Path, std::ios::binary);
-  if (!Probe) {
-    Diags.error({}, "cannot open trace file '" + Path + "'");
-    return nullptr;
-  }
-  char Head[4] = {};
-  Probe.read(Head, 4);
-  bool Binary = Probe.gcount() == 4 && Head[0] == Magic[0] &&
-                Head[1] == Magic[1] && Head[2] == Magic[2] &&
-                Head[3] == Magic[3];
-  Probe.close();
-
+  bool Binary = isWireFile(Path);
   std::ifstream In(Path, Binary ? std::ios::binary : std::ios::in);
   if (!In) {
     Diags.error({}, "cannot open trace file '" + Path + "'");

@@ -212,7 +212,7 @@ void StreamPipeline::pump(EventSource &Source) {
   }
   // Batched pull: whole event batches flow from the source into
   // processBatch() — for the sequential backend, the detector's kinded
-  // kernel (one kind scan per batch, runs through the engine's batched
+  // kernel (one kind scan per batch, runs through its batched
   // loop) — with the batch recycled each round so
   // the loop is allocation-free in the steady state. Finding callbacks
   // fire after each batch.

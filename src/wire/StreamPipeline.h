@@ -146,7 +146,7 @@ public:
   StreamSummary summary() const;
 
   /// The sequential backend, or nullptr for other backends. Exposed so
-  /// callers can read the batched-kernel timing and the engine counters
+  /// callers can read the batched-kernel timing and the detector counters
   /// directly. Its races() holds no record between batches: the pipeline
   /// drains it.
   const CommutativityRaceDetector *sequentialDetector() const {

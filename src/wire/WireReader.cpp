@@ -393,9 +393,18 @@ bool WireReader::decodeInto(EventBatch &B) {
     return true;
   };
 
+  auto outOfRange = [](const char *What, uint32_t Id) {
+    return std::string(What) + " " + std::to_string(Id) +
+           " out of range: thread ids must be below " +
+           std::to_string(ThreadIdLimit);
+  };
   uint32_t Thread = 0;
   if (!deltaId(PrevThread, Thread)) {
     fail("malformed event: bad thread id");
+    return false;
+  }
+  if (Thread >= ThreadIdLimit) {
+    fail(outOfRange("malformed event: thread id", Thread));
     return false;
   }
 
@@ -414,6 +423,9 @@ bool WireReader::decodeInto(EventBatch &B) {
   case Opcode::Join:
     if (!rawId(Operand))
       return failEvent("malformed fork/join event: bad target thread");
+    if (Operand >= ThreadIdLimit)
+      return failEvent(
+          outOfRange("malformed fork/join event: target thread id", Operand));
     break;
   case Opcode::Acquire:
   case Opcode::Release:

@@ -155,7 +155,7 @@ TEST(FlatMapTest, RehashPreservesContents) {
 TEST(FlatMapTest, ReserveAvoidsRehash) {
   // reserve() pre-sizes so the insertion run never rehashes. (Entries only
   // move on rehash in the swiss layout, but any unreserved insertion may
-  // rehash, which is why the engine holds pointer-stable state behind
+  // rehash, which is why the detector holds pointer-stable state behind
   // unique_ptr.)
   FlatMap<uint32_t, uint32_t> M;
   M.reserve(1000);
@@ -170,7 +170,7 @@ TEST(FlatMapTest, ReserveAvoidsRehash) {
 }
 
 TEST(FlatMapTest, IteratorSurvivesEraseOfVisitedKeys) {
-  // The engine pattern: iterate, then erase what was visited. Collect
+  // The detector pattern: iterate, then erase what was visited. Collect
   // first (iteration order is unspecified), erase after.
   FlatMap<uint32_t, uint32_t> M;
   for (uint32_t K = 0; K != 100; ++K)

@@ -15,7 +15,8 @@
 ///  * malformed input kills only the offending session, with the wire
 ///    reader's canonical diagnostic, and a well-formed wire stream of a
 ///    malformed trace kills nothing: `crd check` exits 0 or 1 on it with
-///    every detector, and the daemon goes on serving;
+///    every detector, and the daemon goes on serving; a thread id past
+///    ThreadIdLimit is malformed input, refused by both decoders;
 ///  * die notices ('D' frames) are applied in stream order and counted;
 ///  * idle sessions are reclaimed by the timeout sweep, capacity
 ///    rejections are loud, and SIGTERM-style drain still delivers every
@@ -119,6 +120,17 @@ const char *const JoinUnseenThread = "T0: join T5\nT0: o1.get(0)/nil\n";
 const char *const UnmatchedTxEnd = "T0: txend\nT0: o1.get(0)/nil\n";
 const char *const ForkStartedThread =
     "T1: o1.get(0)/nil\nT0: fork T1\nT1: o1.get(0)/nil\n";
+
+/// A trace whose one event names thread 4,000,000,000, past ThreadIdLimit.
+/// The text parser refuses it, so its wire form is written from this
+/// trace by WireWriter.
+const char *const HugeThreadId = "T4000000000: o1.get(0)/nil\n";
+
+Trace threadIdTrace(uint32_t Thread) {
+  TraceBuilder TB;
+  TB.invoke(Thread, 1, "get", {Value::integer(0)}, Value::nil());
+  return TB.take();
+}
 
 /// Runs one session to completion on the calling thread, mimicking the
 /// server's claim/release scheduling handshake.
@@ -367,6 +379,32 @@ TEST(ServeTest, UnmatchedTxEndKillsNoSession) {
       << ServeOut;
 }
 
+TEST(ServeTest, OutOfRangeThreadIdKillsNoSession) {
+  // A session whose wire bytes name a thread past the limit gets an error
+  // line, on every detector, instead of sizing per-thread tables by the id
+  // and taking the daemon down; the next session is served as before.
+  TestTrace Bad(64, threadIdTrace(4000000000u)), Torn(64, tornCommitTrace());
+  Daemon D;
+  for (const char *Detector : {"seq", "fasttrack", "atomicity"}) {
+    RawClient C(D.SockPath);
+    C.send(std::string(serve::ProtocolTag) + " detector=" + Detector + "\n" +
+           frame(serve::FrameType::Wire, Bad.Bytes) +
+           frame(serve::FrameType::End, ""));
+    std::string Reply = C.readToEof();
+    EXPECT_NE(Reply.find("\"type\":\"error\""), std::string::npos) << Reply;
+    EXPECT_NE(Reply.find("thread id 4000000000 out of range"),
+              std::string::npos)
+        << Reply;
+  }
+  const ModeCase Atomicity{"atomicity", nullptr};
+  auto [CheckExit, CheckOut] = runCli(checkArgs(Torn, Atomicity));
+  auto [ServeExit, ServeOut] = runCli(clientArgs(D, Torn, Atomicity));
+  EXPECT_EQ(ServeOut, CheckOut);
+  EXPECT_EQ(ServeExit, CheckExit);
+  EXPECT_NE(ServeOut.find("atomicity violations: 1"), std::string::npos)
+      << ServeOut;
+}
+
 TEST(ServeTest, DieNoticesAreCountedAndKeepFindingsIdentical) {
   TestTrace T;
   auto Rep = loadDictionary();
@@ -529,12 +567,14 @@ TEST(ServeTest, RemovedOptionsAreUsageErrors) {
   // Removed surface that names itself on stderr: `crd profile` reads
   // recorded traces only (no --source); live producers stream to `crd
   // serve` (no recorder verb) on its Unix socket (no --tcp); perfbench is
-  // the performance instrument (no bench verb).
+  // the performance instrument (no bench verb); `crd profile` names its
+  // backend --detector, as every other verb does (no --backend).
   const std::pair<std::vector<std::string>, const char *> Named[] = {
       {{"profile", "--source=live", T.Path}, "unknown option --source"},
       {{"record", "--stress"}, "unknown command 'record'"},
       {{"serve", "--socket=" + Sock, "--tcp=0"}, "unknown option --tcp"},
       {{"bench", T.Path}, "unknown command 'bench'"},
+      {{"profile", "--backend=seq", T.Path}, "unknown option --backend"},
   };
   for (const auto &[Argv, Reason] : Named) {
     std::ostringstream Out, Err;
@@ -662,12 +702,23 @@ int runCrdProcess(const std::vector<std::string> &Args, std::string &Err) {
 TEST(MalformedInputTest, CheckExitsOnEveryDetectorAndFormat) {
   // Each input once as text and once as a wire file; every detector must
   // report and exit 0 or 1 — not die on a signal, hang, or (in sanitized
-  // builds) trip a sanitizer.
-  for (const char *Text :
-       {JoinUnseenThread, UnmatchedTxEnd, ForkStartedThread}) {
-    TestTrace Wire(64, parseText(Text));
+  // builds) trip a sanitizer. Inputs with a diagnostic must exit 1 with it.
+  struct Input {
+    const char *Text;
+    Trace Events; ///< The same events, written as the wire file.
+    const char *Diagnostic;
+  };
+  const Input Inputs[] = {
+      {JoinUnseenThread, parseText(JoinUnseenThread), nullptr},
+      {UnmatchedTxEnd, parseText(UnmatchedTxEnd), nullptr},
+      {ForkStartedThread, parseText(ForkStartedThread), nullptr},
+      {HugeThreadId, threadIdTrace(4000000000u),
+       "4000000000 out of range: thread ids must be below 65536"},
+  };
+  for (const Input &In : Inputs) {
+    TestTrace Wire(64, In.Events);
     std::string TextPath = Wire.Path + ".trace";
-    std::ofstream(TextPath) << Text;
+    std::ofstream(TextPath) << In.Text;
     for (const std::string &Path : {TextPath, Wire.Path})
       for (const char *Detector : {"seq", "fasttrack", "atomicity"}) {
         std::string Err;
@@ -680,7 +731,29 @@ TEST(MalformedInputTest, CheckExitsOnEveryDetectorAndFormat) {
         EXPECT_LE(WEXITSTATUS(Status), 1);
         EXPECT_EQ(Err.find("Sanitizer"), std::string::npos);
         EXPECT_EQ(Err.find("runtime error"), std::string::npos);
+        if (In.Diagnostic) {
+          EXPECT_EQ(WEXITSTATUS(Status), 1);
+          EXPECT_NE(Err.find(In.Diagnostic), std::string::npos);
+        }
       }
+    ::unlink(TextPath.c_str());
+  }
+}
+
+TEST(MalformedInputTest, ThreadIdLimitIsExact) {
+  // The last id below the limit is an ordinary thread; the limit itself
+  // is refused, as text and as wire.
+  for (uint32_t Thread : {ThreadIdLimit - 1, ThreadIdLimit}) {
+    TestTrace Wire(64, threadIdTrace(Thread));
+    std::string TextPath = Wire.Path + ".trace";
+    std::ofstream(TextPath) << "T" << Thread << ": o1.get(0)/nil\n";
+    for (const std::string &Path : {TextPath, Wire.Path}) {
+      std::ostringstream Out, Err;
+      EXPECT_EQ(cli::crdMain({"check", Path}, Out, Err),
+                Thread < ThreadIdLimit ? 0 : 1)
+          << Path << ":\n"
+          << Err.str();
+    }
     ::unlink(TextPath.c_str());
   }
 }

@@ -229,29 +229,12 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
       Out << "violation: " << V << '\n';
     });
   }
-  wire::StreamSummary Summary = Pipeline.run(*Source);
-
-  Out << "events: " << Summary.Events;
-  switch (Opts.TheBackend) {
-  case wire::Backend::Sequential:
-    Out << "  commutativity races: " << Summary.Races << " ("
-        << Summary.DistinctRacyObjects << " distinct objects)";
-    break;
-  case wire::Backend::FastTrack:
-    Out << "  read-write races: " << Summary.MemoryRaces << " ("
-        << Summary.DistinctRacyVars << " distinct locations)";
-    break;
-  case wire::Backend::Atomicity:
-    Out << "  atomicity violations: " << Summary.Violations;
-    break;
-  }
-  Out << '\n';
-
+  Exit = printCheckSummary(Out, Opts.TheBackend, Pipeline.run(*Source));
   if (Source->failed()) {
     Err << Args.Positional[0] << ":\n" << Diags.toString();
     return ExitFindings;
   }
-  return Summary.clean() ? ExitClean : ExitFindings;
+  return Exit;
 }
 
 //===----------------------------------------------------------------------===//
@@ -395,13 +378,13 @@ const char ProfileHelp[] =
     "Streams a trace through a detector backend and prints the\n"
     "observability snapshot as JSON: ingress event-kind counts, decode\n"
     "counters (binary traces), and per-backend detector counters — for\n"
-    "the sequential backend, Algorithm 1 engine counters and the batched\n"
+    "the sequential backend, Algorithm 1 counters and the batched\n"
     "kernel's time. Schema: docs/observability.md. Findings are counted\n"
     "in the snapshot, not judged: a racy trace still exits 0.\n"
     "Exit code 1 = malformed trace, 2 = usage or I/O error.\n"
     "\n"
     "options (--opt=V and --opt V forms are both accepted):\n"
-    "  --backend=seq|fasttrack|atomicity   backend (default seq)\n"
+    "  --detector=seq|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
     "  --memo[=off|full]    chunk memoization for binary traces with\n"
@@ -411,13 +394,13 @@ const char ProfileHelp[] =
 
 int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
                std::ostream &Err) {
-  ParsedArgs Args(joinValueOptions(Raw, {"--backend", "--spec"}));
+  ParsedArgs Args(joinValueOptions(Raw, {"--detector", "--spec"}));
 
   if (Args.Help) {
     Out << ProfileHelp;
     return ExitClean;
   }
-  if (auto Bad = Args.unknownOption({"backend", "spec", "memo"})) {
+  if (auto Bad = Args.unknownOption({"detector", "spec", "memo"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ProfileHelp;
     return ExitUsage;
   }
@@ -427,11 +410,11 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
   }
 
   wire::PipelineOptions Opts;
-  std::string BackendName = Args.option("backend").value_or("seq");
-  if (auto B = serve::parseBackendToken(BackendName)) {
+  std::string DetectorName = Args.option("detector").value_or("seq");
+  if (auto B = serve::parseBackendToken(DetectorName)) {
     Opts.TheBackend = *B;
   } else {
-    Err << "error: unknown backend '" << BackendName << "'\n" << ProfileHelp;
+    Err << "error: unknown detector '" << DetectorName << "'\n" << ProfileHelp;
     return ExitUsage;
   }
   if (!parseMemoMode(Args, Opts.Memo, Err))

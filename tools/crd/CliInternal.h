@@ -19,6 +19,7 @@
 #include "spec/Builtins.h"
 #include "spec/SpecParser.h"
 #include "translate/Translator.h"
+#include "wire/StreamPipeline.h"
 #include "wire/WireReader.h"
 
 #include <fstream>
@@ -171,6 +172,29 @@ inline bool parseMemoMode(const ParsedArgs &Args, wire::MemoMode &Out,
     return false;
   }
   return true;
+}
+
+/// Prints `crd check`'s summary line for a \p Backend run that reported
+/// \p S, and returns the check exit code: clean or findings. The serve
+/// client renders a session's summary reply through it too.
+inline int printCheckSummary(std::ostream &Out, wire::Backend Backend,
+                             const wire::StreamSummary &S) {
+  Out << "events: " << S.Events;
+  switch (Backend) {
+  case wire::Backend::Sequential:
+    Out << "  commutativity races: " << S.Races << " ("
+        << S.DistinctRacyObjects << " distinct objects)";
+    break;
+  case wire::Backend::FastTrack:
+    Out << "  read-write races: " << S.MemoryRaces << " ("
+        << S.DistinctRacyVars << " distinct locations)";
+    break;
+  case wire::Backend::Atomicity:
+    Out << "  atomicity violations: " << S.Violations;
+    break;
+  }
+  Out << '\n';
+  return S.clean() ? ExitClean : ExitFindings;
 }
 
 /// Uniform exit-2 diagnostic for an option or mode a verb rejects by

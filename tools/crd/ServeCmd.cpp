@@ -376,7 +376,7 @@ int renderCheckStyle(const std::string &Reply, wire::Backend Backend,
                      std::ostream &Out, std::ostream &Err) {
   std::istringstream Lines(Reply);
   std::string Line;
-  bool Clean = true;
+  int Exit = ExitClean;
   bool SawSummary = false;
   while (std::getline(Lines, Line)) {
     auto Type = jsonStringField(Line, "type");
@@ -391,40 +391,24 @@ int renderCheckStyle(const std::string &Reply, wire::Backend Backend,
       return ExitFindings;
     } else if (*Type == "summary") {
       SawSummary = true;
-      uint64_t Events = jsonUintField(Line, "events").value_or(0);
-      Out << "events: " << Events;
-      switch (Backend) {
-      case wire::Backend::Sequential: {
-        uint64_t Races = jsonUintField(Line, "races").value_or(0);
-        Out << "  commutativity races: " << Races << " ("
-            << jsonUintField(Line, "distinct_racy_objects").value_or(0)
-            << " distinct objects)";
-        Clean = Races == 0;
-        break;
-      }
-      case wire::Backend::FastTrack: {
-        uint64_t Races = jsonUintField(Line, "memory_races").value_or(0);
-        Out << "  read-write races: " << Races << " ("
-            << jsonUintField(Line, "distinct_racy_vars").value_or(0)
-            << " distinct locations)";
-        Clean = Races == 0;
-        break;
-      }
-      case wire::Backend::Atomicity: {
-        uint64_t V = jsonUintField(Line, "violations").value_or(0);
-        Out << "  atomicity violations: " << V;
-        Clean = V == 0;
-        break;
-      }
-      }
-      Out << '\n';
+      auto Field = [&Line](std::string_view Key) {
+        return jsonUintField(Line, Key).value_or(0);
+      };
+      wire::StreamSummary Sum;
+      Sum.Events = Field("events");
+      Sum.Races = Field("races");
+      Sum.DistinctRacyObjects = Field("distinct_racy_objects");
+      Sum.MemoryRaces = Field("memory_races");
+      Sum.DistinctRacyVars = Field("distinct_racy_vars");
+      Sum.Violations = Field("violations");
+      Exit = printCheckSummary(Out, Backend, Sum);
     }
   }
   if (!SawSummary) {
     Err << "error: connection closed before a summary line\n";
     return ExitFindings;
   }
-  return Clean ? ExitClean : ExitFindings;
+  return Exit;
 }
 
 /// The reply stream minus its `hello` line (session ids differ between
